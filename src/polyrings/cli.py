@@ -241,7 +241,7 @@ def cmd_decompose(p: Polyomino, args) -> int:
         if whole != parts:
             raise ConsistencyError(f"e(P) = {whole} but e(P1) + e(P2) = {parts}")
         if len(p.vertices) <= args.max_facet_vertices:
-            if len(facets(build_complex(p))) != whole:
+            if len(facets(build_complex(p), args.max_facet_vertices)) != whole:
                 raise ConsistencyError("facet count disagrees with the recursion")
     if args.json:
         _emit_json(

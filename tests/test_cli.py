@@ -185,6 +185,16 @@ def test_validation_failures_exit_1(capsys):
     assert rc == 1
 
 
+def test_decompose_oracle_honours_the_facet_guard(capsys):
+    # a 22-cell stack with 46 vertices: past the default facet guard of 40
+    grid = "#" + "." * 20 + "\\n" + "#" * 21
+    rc, out, err = run(
+        capsys, "decompose", "--grid", grid, "--oracle", "--max-facet-vertices", "60"
+    )
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "v: (3,2)"
+
+
 def test_unknown_command_exits_1(capsys):
     rc = main(["frobnicate", "--grid", "#"])
     capsys.readouterr()

@@ -1,9 +1,13 @@
 import pytest
 
 from polyrings.errors import DecompositionFailed, NotAFacet, TooLarge
-from polyrings.invariants import decompose, distinguished_vertex
+from polyrings.invariants import decompose, distinguished_vertex, multiplicity_recursive
 from polyrings.polyomino import Polyomino, is_rectangle, parse
 from polyrings.srcomplex import (
+    _bits,
+    _independent_counts,
+    _max_independent_sets,
+    _rank_poset,
     build_complex,
     deletion_facets,
     f_vector,
@@ -16,7 +20,7 @@ from polyrings.srcomplex import (
     transport_facet_inverse,
 )
 from polyrings.toric import VarOrder, variable_order
-from oracles import brute_f_vector
+from oracles import brute_f_vector, brute_maximal_independent_sets
 from pool import complex_of, fx, stacks_upto
 
 FIGA_F = frozenset(
@@ -80,6 +84,34 @@ def test_f_vectors():
     for name in ("ex3", "fig13"):
         c = complex_of(fx(name))
         assert f_vector(c) == brute_f_vector(c.vertices, c.forbidden, c.d)
+
+
+def test_ranking_orders_every_small_stack_transitively():
+    for p in stacks_upto(10):
+        assert _rank_poset(complex_of(p)) is not None, sorted(p.cells)
+
+
+def test_chain_path_matches_the_fallback_and_the_recursion():
+    for p in stacks_upto(10):
+        c = complex_of(p)
+        mask = (1 << len(c.vertices)) - 1
+        fv = f_vector(c)
+        fs = facets(c)
+        assert fv == _independent_counts(c._adj, mask, {})
+        assert [tuple(sorted(c._index[v] for v in f)) for f in fs] == sorted(
+            _bits(mk) for mk in _max_independent_sets(c._adj, mask)
+        )
+        assert fv[-1] == len(fs) == multiplicity_recursive(p)
+
+
+def test_fallback_on_intransitive_advisory_orders():
+    for name in ("fig9", "ex6"):
+        c = build_complex(fx(name), variable_order(fx(name)))
+        assert c.order.advisory and _rank_poset(c) is None
+        assert f_vector(c) == brute_f_vector(c.vertices, c.forbidden, c.d)
+        assert [tuple(sorted(f)) for f in facets(c)] == (
+            brute_maximal_independent_sets(c.vertices, c.forbidden)
+        )
 
 
 def test_f_vector_shape():
