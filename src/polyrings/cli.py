@@ -34,6 +34,7 @@ from .polyomino import (
     is_convex,
     is_row_convex,
     is_stack,
+    mirror,
     parse,
     serialize,
 )
@@ -240,6 +241,11 @@ def cmd_decompose(p: Polyomino, args) -> int:
         parts = multiplicity_recursive(dec.p1) + multiplicity_recursive(dec.p2)
         if whole != parts:
             raise ConsistencyError(f"e(P) = {whole} but e(P1) + e(P2) = {parts}")
+        # the memo stores e(P1) + e(P2) as e(P); the mirror image takes
+        # another path through the recursion
+        flipped = multiplicity_recursive(mirror(p))
+        if flipped != whole:
+            raise ConsistencyError(f"e(P) = {whole} but e of its mirror image = {flipped}")
         if len(p.vertices) <= args.max_facet_vertices:
             if len(facets(build_complex(p), args.max_facet_vertices)) != whole:
                 raise ConsistencyError("facet count disagrees with the recursion")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .polyomino import Polyomino, is_convex
+from .polyomino import Polyomino, is_convex, stack_from_profile
 
 
 def _normalize(cells: frozenset) -> frozenset:
@@ -66,6 +66,4 @@ def stack_polyominoes(max_cells: int) -> Iterator[Polyomino]:
     Stacks correspond to unimodal sequences of cell column heights.
     """
     for comp in unimodal_compositions(max_cells):
-        yield Polyomino(
-            (col, row) for col, h in enumerate(comp, start=1) for row in range(1, h + 1)
-        )
+        yield stack_from_profile(comp)

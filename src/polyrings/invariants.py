@@ -6,6 +6,12 @@ keeps the cells at or above the distinguished level; full rectangles
 ground the recursion at e = binom(m+n-2, m-1). That identity holds and
 is enforced.
 
+A stack is exactly its profile, the tuple (h_1, ..., h_{m-1}) of its
+cell column heights, so the recursion runs on profiles: one step is a
+few tuple operations, and the memo _mult_memo is keyed by profile. A
+Polyomino is read once on entry; decompose builds its P1 and P2 from
+the same step.
+
 The regularity of a stack is exact in closed form. Let P_j be the cells
 at or above cell row j and [m_j] x [n_j] the smallest interval holding
 its vertices; then reg(P) = min over j of (j - 1) + min(m_j, n_j) - 1.
@@ -37,12 +43,11 @@ from .errors import (
 from .gorenstein import is_gorenstein_convex
 from .polyomino import (
     Polyomino,
-    cells_at_or_above,
-    delete_cell,
     heights,
     is_convex,
     is_rectangle,
     is_stack,
+    stack_from_profile,
 )
 from .srcomplex import build_complex, invariants_from_complex
 from .toric import VarOrder
@@ -104,11 +109,41 @@ class Decomposition:
     p2: Polyomino
 
 
+Profile = tuple[int, ...]
+
+
+def _profile(p: Polyomino) -> Profile:
+    """Cell column heights h_1..h_{m-1} of a stack, in one pass over the cells."""
+    hs = [0] * (p.m - 1)
+    for c, _ in p.cells:
+        hs[c - 1] += 1
+    return tuple(hs)
+
+
+def _step(hs: Profile) -> tuple[Profile, Profile]:
+    """One step of the recursion on a non-constant stack profile: (P1, P2).
+
+    A stack's profile rises then falls, so its lowest vertex column is
+    an end one, of height low + 1 with low = min(h_1, h_{m-1}), and it
+    is column 1 exactly when h_1 <= h_{m-1}. P1 then lowers the first
+    column, otherwise the last one, and drops it at height 0. P2 keeps
+    the rows above low.
+    """
+    first, last = hs[0], hs[-1]
+    if first <= last:
+        p1 = hs[1:] if first == 1 else (first - 1,) + hs[1:]
+        low = first
+    else:
+        p1 = hs[:-1] if last == 1 else hs[:-1] + (last - 1,)
+        low = last
+    return p1, tuple([h - low for h in hs if h > low])
+
+
 def distinguished_vertex(p: Polyomino) -> tuple[int, int]:
     """(i, height(i)) for the lowest column, leftmost on ties."""
     hs = heights(p)
-    i = min(range(1, p.m + 1), key=lambda col: (hs[col - 1], col))
-    return i, hs[i - 1]
+    level = min(hs)
+    return hs.index(level) + 1, level
 
 
 def decompose(p: Polyomino) -> Decomposition:
@@ -122,15 +157,8 @@ def decompose(p: Polyomino) -> Decomposition:
         raise NotStack("decompose needs a stack polyomino")
     if is_rectangle(p):
         raise IsRectangle("a full rectangle is the recursion base, not a step")
-    hs = heights(p)
-    i, level = distinguished_vertex(p)
-    if i == 1:
-        top_cell = (1, hs[0] - 1)
-    else:
-        top_cell = (p.m - 1, hs[p.m - 1] - 1)
-    p1 = delete_cell(p, top_cell)
-    p2 = cells_at_or_above(p, level)
-    return Decomposition((i, level), p1, p2)
+    p1, p2 = _step(_profile(p))
+    return Decomposition(distinguished_vertex(p), stack_from_profile(p1), stack_from_profile(p2))
 
 
 def multiplicity_rectangle(m: int, n: int) -> int:
@@ -140,23 +168,37 @@ def multiplicity_rectangle(m: int, n: int) -> int:
     return comb(m + n - 2, m - 1)
 
 
-_mult_memo: dict[frozenset, int] = {}
+_mult_memo: dict[Profile, int] = {}
 
 
 def multiplicity_recursive(p: Polyomino) -> int:
-    """e(P) by the deletion recursion, memoized on normalized cell sets."""
+    """e(P) by the deletion recursion, memoized on cell column heights."""
     if not is_stack(p):
         raise NotStack("the multiplicity recursion needs a stack polyomino")
-    got = _mult_memo.get(p.cells)
-    if got is not None:
-        return got
-    if is_rectangle(p):
-        value = multiplicity_rectangle(p.m, p.n)
-    else:
-        dec = decompose(p)
-        value = multiplicity_recursive(dec.p1) + multiplicity_recursive(dec.p2)
-    _mult_memo[p.cells] = value
-    return value
+    return _e(_profile(p))
+
+
+def _e(hs: Profile) -> int:
+    """e of the stack with profile hs, on an explicit work stack so that
+    the depth (one level per cell) is not bounded by Python's recursion
+    limit. A constant profile is the [len + 1] x [h + 1] rectangle."""
+    memo = _mult_memo
+    work: list[tuple[Profile, tuple[Profile, Profile] | None]] = [(hs, None)]
+    while work:
+        top, parts = work.pop()
+        if parts is not None:
+            memo[top] = memo[parts[0]] + memo[parts[1]]
+        elif top not in memo:
+            if top.count(top[0]) == len(top):
+                memo[top] = comb(len(top) + top[0], len(top))
+            else:
+                p1, p2 = _step(top)
+                work.append((top, (p1, p2)))
+                if p1 not in memo:
+                    work.append((p1, None))
+                if p2 not in memo:
+                    work.append((p2, None))
+    return memo[hs]
 
 
 def pk_polyomino(m: int, n: int, k: int) -> Polyomino:

@@ -140,20 +140,30 @@ def serialize(p: Polyomino) -> str:
     return "\n".join(rows)
 
 
+def _lines_convex(lines: Iterable[tuple[int, int]]) -> bool:
+    """Whether the positions on each line form an interval, given
+    (line, position) pairs: one pass collecting a min, a max and a
+    count per line."""
+    spans: dict[int, list[int]] = {}
+    for line, pos in lines:
+        span = spans.get(line)
+        if span is None:
+            spans[line] = [pos, pos, 1]
+        else:
+            if pos < span[0]:
+                span[0] = pos
+            elif pos > span[1]:
+                span[1] = pos
+            span[2] += 1
+    return all(hi - lo + 1 == count for lo, hi, count in spans.values())
+
+
 def is_row_convex(p: Polyomino) -> bool:
-    for level in range(1, p.n):
-        cols = sorted(c for c, r in p.cells if r == level)
-        if cols and cols[-1] - cols[0] + 1 != len(cols):
-            return False
-    return True
+    return _lines_convex((r, c) for c, r in p.cells)
 
 
 def is_column_convex(p: Polyomino) -> bool:
-    for col in range(1, p.m):
-        rows = sorted(r for c, r in p.cells if c == col)
-        if rows and rows[-1] - rows[0] + 1 != len(rows):
-            return False
-    return True
+    return _lines_convex(p.cells)
 
 
 def is_convex(p: Polyomino) -> bool:
@@ -199,15 +209,23 @@ def is_stack(p: Polyomino) -> bool:
     return is_convex(p) and all((c, 1) in p.cells for c in range(1, p.m))
 
 
+def stack_from_profile(hs: Iterable[int]) -> Polyomino:
+    """The stack whose cell columns, left to right, have heights hs."""
+    return Polyomino((c, r) for c, h in enumerate(hs, start=1) for r in range(1, h + 1))
+
+
 def is_rectangle(p: Polyomino) -> bool:
     return len(p.cells) == (p.m - 1) * (p.n - 1)
 
 
 def heights(p: Polyomino) -> tuple[int, ...]:
     """Max vertex level per vertex column, i = 1..m. Meaningful for convex p."""
-    out = []
-    for i in range(1, p.m + 1):
-        out.append(max(r for c, r in p.vertices if c == i))
+    out = [0] * p.m
+    for c, r in p.cells:
+        if r >= out[c - 1]:
+            out[c - 1] = r + 1
+        if r >= out[c]:
+            out[c] = r + 1
     return tuple(out)
 
 

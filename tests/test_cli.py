@@ -1,6 +1,7 @@
 import io
 import json
 
+from polyrings import invariants
 from polyrings.cli import main
 from polyrings.errors import ConsistencyError
 from polyrings.fixtures import fixture_path, names
@@ -193,6 +194,20 @@ def test_decompose_oracle_honours_the_facet_guard(capsys):
     )
     assert (rc, err) == (0, "")
     assert out.splitlines()[0] == "v: (3,2)"
+
+
+def test_decompose_oracle_catches_a_wrong_recursion(capsys, monkeypatch):
+    # a step that always lowers the last column still stores
+    # e(P1) + e(P2) as e(P), but P and its mirror image now disagree
+    def last_column_step(hs):
+        low = min(hs[0], hs[-1])
+        p1 = hs[:-1] if hs[-1] == 1 else hs[:-1] + (hs[-1] - 1,)
+        return p1, tuple(h - low for h in hs if h > low)
+
+    monkeypatch.setattr(invariants, "_mult_memo", {})
+    monkeypatch.setattr(invariants, "_step", last_column_step)
+    rc, _, err = run(capsys, "decompose", path("ex3"), "--oracle")
+    assert rc == 2 and "mirror" in err
 
 
 def test_unknown_command_exits_1(capsys):

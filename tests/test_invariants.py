@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from polyrings import invariants
 from polyrings.errors import (
     BadParameters,
     IsRectangle,
@@ -25,12 +26,14 @@ from polyrings.invariants import (
 )
 from polyrings.polyomino import (
     Polyomino,
+    cells_at_or_above,
     delete_cell,
     heights,
     is_rectangle,
     is_stack,
     mirror,
     parse,
+    stack_from_profile,
     transpose,
 )
 from polyrings.srcomplex import build_complex, facets, invariants_from_complex
@@ -168,6 +171,36 @@ def test_multiplicity_matches_facet_count():
 def test_multiplicity_mirror_invariant():
     for p in stacks_upto(8):
         assert multiplicity_recursive(mirror(p)) == multiplicity_recursive(p)
+
+
+def test_step_matches_the_cell_level_construction():
+    # the profile step against delete_cell and cells_at_or_above, driven
+    # by the distinguished vertex read off the vertex heights
+    for p in stacks_upto(12):
+        if is_rectangle(p):
+            continue
+        i, level = distinguished_vertex(p)
+        hs = heights(p)
+        top_cell = (1, hs[0] - 1) if i == 1 else (p.m - 1, hs[-1] - 1)
+        dec = decompose(p)
+        assert dec.v == (i, level)
+        assert dec.p1 == delete_cell(p, top_cell)
+        assert dec.p2 == cells_at_or_above(p, level)
+        assert multiplicity_recursive(p) == multiplicity_recursive(mirror(p))
+
+
+def test_multiplicity_of_a_deep_stack(monkeypatch):
+    # one recursion level per cell: 1700+ cells run past Python's default
+    # recursion limit of 1000
+    monkeypatch.setattr(invariants, "_mult_memo", {})
+    rng = random.Random(0)
+    width = 59
+    peak = rng.randrange(width)
+    hs = sorted(rng.randint(1, 59) for _ in range(peak)) + [59]
+    hs += sorted((rng.randint(1, 59) for _ in range(width - peak - 1)), reverse=True)
+    p = stack_from_profile(hs)
+    assert (p.m, p.n) == (60, 60) and len(p.cells) >= 1700
+    assert multiplicity_recursive(p) == multiplicity_recursive(mirror(p))
 
 
 def test_multiplicity_transpose_invariant():
