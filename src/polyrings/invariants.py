@@ -50,7 +50,7 @@ from .polyomino import (
     stack_from_profile,
 )
 from .srcomplex import build_complex, invariants_from_complex
-from .toric import VarOrder
+from .toric import VarOrder, _check_ranks
 
 
 def a_invariant_stack(p: Polyomino) -> int:
@@ -315,10 +315,14 @@ def full_report(
     the exact closed forms, under the "formula" method tag. Non-stack
     convex shapes get complex-derived values only when a supplied order
     passes the Groebner check, plus the Gorenstein verdict from the
-    subset sweep.
+    subset sweep. A supplied order must rank exactly the vertices of p
+    (BadParameters otherwise).
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
+    if order is not None:
+        # also when the size guards leave the order unused
+        _check_ranks(p, order)
     stack = is_stack(p)
     methods: dict[str, str] = {}
     notes: list[str] = []

@@ -44,9 +44,12 @@ class Polyomino:
         cells: frozenset of (col, row) cells.
         vertices: frozenset of lattice corners of cells.
         m, n: vertex box sides, m = max col + 1, n = max row + 1.
+
+    The convexity verdict is computed on first use and kept (slot
+    _convex), so the layers that each check it scan the cells once.
     """
 
-    __slots__ = ("cells", "vertices", "m", "n")
+    __slots__ = ("cells", "vertices", "m", "n", "_convex")
 
     def __init__(self, cells: Iterable[Cell]):
         cs = {(int(c), int(r)) for c, r in cells}
@@ -69,6 +72,7 @@ class Polyomino:
             verts.add((c, r + 1))
             verts.add((c + 1, r + 1))
         object.__setattr__(self, "vertices", frozenset(verts))
+        object.__setattr__(self, "_convex", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polyomino is immutable")
@@ -167,8 +171,10 @@ def is_column_convex(p: Polyomino) -> bool:
 
 
 def is_convex(p: Polyomino) -> bool:
-    """Row convex and column convex."""
-    return is_row_convex(p) and is_column_convex(p)
+    """Row convex and column convex; decided once per polyomino."""
+    if p._convex is None:
+        object.__setattr__(p, "_convex", is_row_convex(p) and is_column_convex(p))
+    return p._convex
 
 
 _DIR_PAIRS = (

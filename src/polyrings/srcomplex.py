@@ -59,6 +59,8 @@ class FlagComplex:
 
 
 def build_complex(p: Polyomino, order: VarOrder | None = None) -> FlagComplex:
+    """The flag complex of in(I_P) under order, the height order by
+    default; initial_ideal checks that order ranks exactly p's vertices."""
     ideal = initial_ideal(p, order)
     return FlagComplex(
         poly=p,
@@ -131,7 +133,7 @@ def _rank_poset(c: FlagComplex) -> tuple | None:
     """
     if c._poset is None:
         adj = c._adj
-        rank = tuple(c._index[v] for v in c.order.ranked if v in c._index)
+        rank = tuple(c._index[v] for v in c.order.ranked)
         up = [0] * len(adj)
         seen = 0
         for v in rank:
@@ -144,7 +146,7 @@ def _rank_poset(c: FlagComplex) -> tuple | None:
                 c._poset = ()
                 return None
             seen |= 1 << w
-        c._poset = (rank, tuple(up)) if len(rank) == len(adj) else ()
+        c._poset = (rank, tuple(up))
     return c._poset or None
 
 

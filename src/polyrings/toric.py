@@ -7,9 +7,35 @@ minor at corners (i, j) < (k, l) is the binomial
 
 and exists when every cell of [i..k-1] x [j..l-1] lies in P. The term
 order is reverse lexicographic for the descending variable ranking by
-(column height, column, level). Under revlex, of two squarefree
-quadratics the one containing the overall smallest variable is the
-smaller, which fixes each minor's leading term.
+(column height, column, level).
+
+Each layer costs about one operation per minor or per S-pair it reports:
+
+- Minors. A pass over the cells in (column, row) order keeps, for each
+  cell, the length of the unbroken run of cells below it in its column.
+  From each top-right cell (k-1, l-1) a walk left along its row keeps
+  h, the least run length seen; at column i the intervals of height 1
+  to h are all inside P, which gives the minors (i, j, k, l) for j in
+  l-h..l-1, already in (k, l, i, j) order. The walk stops at the first
+  missing cell, so it visits no column without a minor. No convexity
+  is assumed.
+- Leading terms. The diagonal and antidiagonal are disjoint squarefree
+  quadratics, and under revlex the smaller of the two is the one that
+  holds the lowest-ranked of the four variables. So a leading term is
+  read off four rank positions; VarOrder.revlex_less is the general
+  comparison of equal-degree monomials.
+- Groebner check. Buchberger's criterion, with S-pairs of coprime
+  leading terms skipped. Generators are indexed by the variables of
+  their leading terms, so only pairs that share a variable are visited,
+  each once. Both sides of an S-pair are degree-3 monomials; each is
+  reduced by looking up its three variable pairs in a leading-term to
+  trailing-term table until none matches. Which matching generator
+  rewrites first does not change the verdict: under a Groebner basis
+  normal forms are unique, and if every S-pair reaches a common normal
+  form the basis property follows.
+
+An order must rank exactly the vertices of P; initial_ideal and
+verify_groebner raise BadParameters otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, GroebnerUnverified
+from .errors import BadParameters, ConsistencyError, GroebnerUnverified
 from .polyomino import Polyomino, heights, is_stack
 
 Variable = tuple[int, int]
@@ -117,32 +143,80 @@ class InnerMinor:
 
 
 def inner_minors(p: Polyomino) -> list[InnerMinor]:
-    """All inner minors, sorted by (k, l, i, j)."""
+    """All inner minors, sorted by (k, l, i, j).
+
+    Walks left from each top-right cell, keeping the least downward run
+    of cells; see the module docstring.
+    """
     out = []
-    cells = p.cells
-    for k in range(2, p.m + 1):
-        for l in range(2, p.n + 1):
-            for i in range(1, k):
-                for j in range(1, l):
-                    if all(
-                        (c, r) in cells
-                        for c in range(i, k)
-                        for r in range(j, l)
-                    ):
-                        out.append(InnerMinor(i, j, k, l))
+    # run[cell]: cells in the unbroken column run that ends at cell
+    run: dict[tuple[int, int], int] = {}
+    for cell in sorted(p.cells):
+        c, r = cell
+        h = run[cell] = run.get((c, r - 1), 0) + 1
+        spans = []
+        while True:
+            spans.append((c, h))
+            c -= 1
+            left = run.get((c, r))
+            if left is None:
+                break
+            if left < h:
+                h = left
+        k, l = cell[0] + 1, r + 1
+        for i, h in reversed(spans):
+            for j in range(l - h, l):
+                out.append(InnerMinor(i, j, k, l))
     return out
+
+
+def _terms(mn: InnerMinor, pos: dict[Variable, int]) -> tuple[Monomial, Monomial]:
+    """(lead, trail) of a minor as sorted variable pairs: the monomial
+    holding the lowest-ranked (largest position) of the four variables
+    is the revlex-smaller one."""
+    i, j, k, l = mn.i, mn.j, mn.k, mn.l
+    diag = ((i, j), (k, l))
+    anti = ((i, l), (k, j))
+    if max(pos[anti[0]], pos[anti[1]]) > max(pos[diag[0]], pos[diag[1]]):
+        return diag, anti
+    return anti, diag
 
 
 def leading_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
     """The revlex-larger of the minor's two monomials."""
-    if order.revlex_less(minor.antidiagonal, minor.diagonal):
-        return minor.diagonal
-    return minor.antidiagonal
+    return frozenset(_terms(minor, order._pos)[0])
 
 
 def trailing_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
-    lead = leading_term(minor, order)
-    return minor.diagonal if lead == minor.antidiagonal else minor.antidiagonal
+    return frozenset(_terms(minor, order._pos)[1])
+
+
+def _check_ranks(p: Polyomino, order: VarOrder) -> None:
+    """An order must rank exactly the vertices of p."""
+    ranked = set(order.ranked)
+    if ranked != p.vertices:
+        missing = " ".join(var_str(v) for v in sorted(p.vertices - ranked))
+        extra = " ".join(var_str(v) for v in sorted(ranked - p.vertices))
+        raise BadParameters(
+            "the order must rank exactly the vertices of the polyomino"
+            + (f"; unranked: {missing}" if missing else "")
+            + (f"; not vertices: {extra}" if extra else "")
+        )
+
+
+def _minor_terms(
+    p: Polyomino, order: VarOrder | None
+) -> tuple[VarOrder, list[InnerMinor], list[tuple[Monomial, Monomial]]]:
+    """The order (checked, or the default), the inner minors and their
+    (lead, trail) pairs: one pass shared by initial_ideal and
+    verify_groebner."""
+    if order is None:
+        order = variable_order(p)
+    else:
+        _check_ranks(p, order)
+    minors = inner_minors(p)
+    pos = order._pos
+    return order, minors, [_terms(mn, pos) for mn in minors]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,36 +232,17 @@ def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     """Leading terms of the inner minors, one per minor.
 
     For a stack with its height order this is the initial ideal outright;
-    any advisory order is first run through verify_groebner.
+    any advisory order is first run through the Groebner check.
     """
-    if order is None:
-        order = variable_order(p)
-    if order.advisory and not verify_groebner(p, order):
+    order, minors, terms = _minor_terms(p, order)
+    if order.advisory and not _is_groebner(terms):
         raise GroebnerUnverified(
             "inner minors are not a Groebner basis for the given order"
         )
-    minors = tuple(inner_minors(p))
-    terms = frozenset(leading_term(mn, order) for mn in minors)
-    if len(terms) != len(minors):
+    leads = frozenset(frozenset(lead) for lead, _ in terms)
+    if len(leads) != len(minors):
         raise ConsistencyError("leading terms collide across minors")
-    return InitialIdeal(terms, order, minors)
-
-
-def _reduce(mono: Monomial, gens) -> Monomial:
-    """First-match normal form of a variable multiset against (lead, trail) pairs."""
-    current = list(mono)
-    reduced = True
-    while reduced:
-        reduced = False
-        for (u, v), (s, t) in gens:
-            if u in current and v in current:
-                current.remove(u)
-                current.remove(v)
-                current.append(s)
-                current.append(t)
-                reduced = True
-                break
-    return tuple(sorted(current))
+    return InitialIdeal(leads, order, tuple(minors))
 
 
 def verify_groebner(p: Polyomino, order: VarOrder | None = None) -> bool:
@@ -197,32 +252,47 @@ def verify_groebner(p: Polyomino, order: VarOrder | None = None) -> bool:
     binomial of degree three, and both sides are reduced monomial-wise
     to normal form. Sound and complete for the yes/no verdict.
     """
-    if order is None:
-        order = variable_order(p)
-    minors = inner_minors(p)
-    gens = []
-    for mn in minors:
-        lead = tuple(sorted(leading_term(mn, order)))
-        trail = tuple(sorted(trailing_term(mn, order)))
-        gens.append((lead, trail))
-    for a in range(len(gens)):
-        la = frozenset(gens[a][0])
-        for b in range(a + 1, len(gens)):
-            lb = frozenset(gens[b][0])
-            shared = la & lb
-            if not shared:
-                continue
-            lcm = sorted(la | lb)
-            one = _spoly_side(lcm, gens[a])
-            two = _spoly_side(lcm, gens[b])
-            if _reduce(one, gens) != _reduce(two, gens):
-                return False
+    return _is_groebner(_minor_terms(p, order)[2])
+
+
+def _is_groebner(terms: list[tuple[Monomial, Monomial]]) -> bool:
+    """Buchberger's criterion on (lead, trail) pairs of sorted variable
+    pairs, visiting only the S-pairs whose leads share a variable.
+
+    Two distinct leads share at most one variable, so each such pair is
+    visited once, under that variable. For leads v*a and v*b the sides
+    of the S-pair are b*trail_a and a*trail_b.
+    """
+    rewrite = dict(terms)
+    by_var: dict[Variable, list[tuple[Variable, Monomial]]] = {}
+    for lead, trail in terms:
+        u, w = lead
+        by_var.setdefault(u, []).append((w, trail))
+        by_var.setdefault(w, []).append((u, trail))
+    for gens in by_var.values():
+        for a, (oa, ta) in enumerate(gens):
+            for ob, tb in gens[a + 1 :]:
+                if _normal_form(ob, ta, rewrite) != _normal_form(oa, tb, rewrite):
+                    return False
     return True
 
 
-def _spoly_side(lcm: list[Variable], gen) -> Monomial:
-    lead, trail = gen
-    rest = list(lcm)
-    for v in lead:
-        rest.remove(v)
-    return tuple(sorted(rest + list(trail)))
+def _normal_form(x: Variable, pair: Monomial, rewrite: dict) -> Monomial:
+    """Normal form of the degree-3 monomial x * pair under the
+    lead -> trail rewrites; every rewrite lowers the monomial in the
+    term order, so the loop ends."""
+    a, b, c = sorted((x, *pair))
+    while True:
+        t = rewrite.get((a, b))
+        if t is not None:
+            a, b, c = sorted((c, *t))
+            continue
+        t = rewrite.get((a, c))
+        if t is not None:
+            a, b, c = sorted((b, *t))
+            continue
+        t = rewrite.get((b, c))
+        if t is not None:
+            a, b, c = sorted((a, *t))
+            continue
+        return a, b, c

@@ -259,3 +259,56 @@ def generic_revlex_less(mono_a, mono_b, ranked_desc):
         if a != b:
             return a > b
     return False
+
+
+def brute_verify_groebner(p, ranked_desc):
+    """Buchberger's criterion on the inner minors, pair by pair.
+
+    Leading terms come from generic_revlex_less, every pair of minors is
+    visited (pairs with coprime leading terms are skipped), and each side
+    of an S-pair is reduced by scanning the generators in order and
+    rewriting with the first whose leading term divides it.
+    """
+    gens = []
+    for i, j, k, l in brute_inner_minor_corners(p):
+        diag = sorted([(i, j), (k, l)])
+        anti = sorted([(i, l), (k, j)])
+        if generic_revlex_less(anti, diag, ranked_desc):
+            gens.append((diag, anti))
+        else:
+            gens.append((anti, diag))
+    for a in range(len(gens)):
+        lead_a = set(gens[a][0])
+        for b in range(a + 1, len(gens)):
+            lead_b = set(gens[b][0])
+            if not lead_a & lead_b:
+                continue
+            lcm = sorted(lead_a | lead_b)
+            one = _first_match_normal_form(_spoly_side(lcm, gens[a]), gens)
+            two = _first_match_normal_form(_spoly_side(lcm, gens[b]), gens)
+            if one != two:
+                return False
+    return True
+
+
+def _spoly_side(lcm, gen):
+    lead, trail = gen
+    rest = list(lcm)
+    for v in lead:
+        rest.remove(v)
+    return sorted(rest + list(trail))
+
+
+def _first_match_normal_form(mono, gens):
+    current = list(mono)
+    reduced = True
+    while reduced:
+        reduced = False
+        for (u, v), (s, t) in gens:
+            if u in current and v in current:
+                current.remove(u)
+                current.remove(v)
+                current += [s, t]
+                reduced = True
+                break
+    return sorted(current)

@@ -357,6 +357,30 @@ def test_full_report_rejects_non_convex():
         full_report(fx("fig1_left"))
 
 
+def test_full_report_scans_convexity_once(monkeypatch):
+    from polyrings import polyomino
+
+    scans = []
+    for name in ("is_row_convex", "is_column_convex"):
+        scan = getattr(polyomino, name)
+        monkeypatch.setattr(
+            polyomino, name, lambda p, scan=scan, name=name: scans.append(name) or scan(p)
+        )
+    p = stack_from_profile((2, 3, 1))
+    rep = full_report(p)
+    assert rep.multiplicity == multiplicity_recursive(p)
+    assert sorted(scans) == ["is_column_convex", "is_row_convex"]
+    # the public checks still run on the kept verdict
+    q = Polyomino([(1, 1), (1, 2), (2, 2)])
+    for _ in range(2):
+        with pytest.raises(NotStack):
+            multiplicity_recursive(q)
+    bent = fx("fig1_left")
+    for _ in range(2):
+        with pytest.raises(NotConvex):
+            full_report(bent)
+
+
 def test_report_dict_shape():
     d = full_report(fx("ex3")).to_dict()
     assert d["h_vector"] == [1, 6, 6, 1]

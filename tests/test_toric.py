@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from polyrings.errors import ConsistencyError, GroebnerUnverified
+from polyrings.errors import BadParameters, ConsistencyError, GroebnerUnverified
+from polyrings.invariants import full_report
 from polyrings.polyomino import Polyomino, heights, parse, transpose
+from polyrings.srcomplex import build_complex
 from polyrings.toric import (
     VarOrder,
     initial_ideal,
@@ -16,9 +20,10 @@ from polyrings.toric import (
 from oracles import (
     brute_inner_minor_corners,
     brute_maximal_independent_sets,
+    brute_verify_groebner,
     generic_revlex_less,
 )
-from pool import CONVEX_FIXTURES, fx, stacks_upto
+from pool import CONVEX_FIXTURES, convex_upto, fixed_upto, fx, stacks_upto
 
 # the orders the worked examples print for these two non-stack shapes
 EX6_PRINTED = [
@@ -226,3 +231,86 @@ def test_facet_count_is_order_independent_on_ex6():
     printed = VarOrder(EX6_PRINTED, advisory=True)
     assert initial_ideal(p, printed).generators != initial_ideal(p).generators
     assert facet_count(p, printed) == facet_count(p) == 21
+
+
+def shuffled_orders(p, count=2):
+    """count seeded random rankings of p's vertices, advisory."""
+    out = []
+    for seed in range(count):
+        ranked = sorted(p.vertices)
+        random.Random(f"{sorted(p.cells)}:{seed}").shuffle(ranked)
+        out.append(VarOrder(ranked, advisory=True))
+    return out
+
+
+def test_minors_match_brute_intervals_on_every_small_polyomino():
+    # convex or not: the run-length walk assumes no convexity
+    for p in fixed_upto(8):
+        got = [(m.i, m.j, m.k, m.l) for m in inner_minors(p)]
+        assert sorted(got, key=lambda t: (t[2], t[3], t[0], t[1])) == got
+        assert sorted(got) == brute_inner_minor_corners(p)
+
+
+def assert_terms_match_generic_revlex(p, o):
+    for m in inner_minors(p):
+        anti, diag = sorted(m.antidiagonal), sorted(m.diagonal)
+        want = m.diagonal if generic_revlex_less(anti, diag, o.ranked) else m.antidiagonal
+        assert leading_term(m, o) == want
+        assert {want, trailing_term(m, o)} == {m.diagonal, m.antidiagonal}
+
+
+def test_terms_match_generic_revlex_on_small_stacks():
+    for p in stacks_upto(9):
+        assert_terms_match_generic_revlex(p, variable_order(p))
+
+
+def test_terms_match_generic_revlex_under_shuffled_orders():
+    for p in convex_upto(7):
+        for o in shuffled_orders(p):
+            assert_terms_match_generic_revlex(p, o)
+
+
+def test_verify_groebner_matches_the_all_pairs_oracle():
+    verdicts = set()
+    shapes = convex_upto(7)
+    assert len(shapes) == 765
+    for p in shapes:
+        for o in [variable_order(p), *shuffled_orders(p)]:
+            got = verify_groebner(p, o)
+            assert got == brute_verify_groebner(p, o.ranked), (p, o)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_verify_groebner_on_the_9x9_rectangle():
+    # 2025 minors: the size the all-pairs check could not reach in tier-1
+    p = parse("\n".join(["#" * 9] * 9))
+    assert len(inner_minors(p)) == 2025
+    assert verify_groebner(p)
+
+
+def assert_order_rejected(p, order):
+    for call in (initial_ideal, verify_groebner, build_complex):
+        with pytest.raises(BadParameters):
+            call(p, order)
+    with pytest.raises(BadParameters):
+        full_report(p, order=order)
+
+
+def test_order_missing_a_vertex_is_rejected():
+    p = parse("##\n##")
+    ranked = variable_order(p).ranked
+    assert_order_rejected(p, VarOrder(ranked[:-1]))
+    assert_order_rejected(p, VarOrder(ranked[1:], advisory=True))
+    # past the facet guard full_report builds no complex, and still checks
+    big = parse("\n".join(["#" * 6] * 6))
+    assert len(big.vertices) > 40
+    with pytest.raises(BadParameters):
+        full_report(big, order=VarOrder(variable_order(big).ranked[:-1]))
+
+
+def test_order_ranking_a_non_vertex_is_rejected():
+    p = parse("##\n##")
+    ranked = variable_order(p).ranked
+    assert_order_rejected(p, VarOrder(ranked + ((9, 9),)))
+    assert_order_rejected(p, VarOrder(((9, 9),) + ranked, advisory=True))
