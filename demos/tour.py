@@ -36,5 +36,5 @@ print("P1 (one cell fewer):")
 print(serialize(dec.p1))
 print("P2 (the column block above v's level):")
 print(serialize(dec.p2))
-print("multiplicity of P equals mult(P1) + mult(P2); that is the recursion",
-      "the multiplicity method rides.")
+print("h_P(t) = h_P1(t) + t * h_P2(t), so the multiplicity of P is mult(P1) + mult(P2);")
+print("that is the recursion every [recursion] value above rides.")

@@ -38,7 +38,7 @@ from .polyomino import (
     parse,
     serialize,
 )
-from .srcomplex import build_complex, invariants_from_complex, facets
+from .srcomplex import build_complex, facets, hilbert_numerator, invariants_from_complex
 from .toric import inner_minors, leading_term, mono_str, var_str, variable_order, verify_groebner
 
 
@@ -170,7 +170,12 @@ def cmd_invariants(p: Polyomino, args) -> int:
             raise ConsistencyError(
                 f"multiplicity changes under transpose: {rep.multiplicity} vs {flipped}"
             )
-        if rep.methods.get("a_invariant") == "complex" and p.m + p.n <= 14:
+        # the recursion's h against the complex, which full_report does
+        # not build for a stack
+        h = hilbert_numerator(build_complex(p), args.max_facet_vertices)
+        if h != rep.h_vector:
+            raise ConsistencyError(f"recursion h-vector {rep.h_vector} vs complex {h}")
+        if p.m + p.n <= 14:
             from .bigraph import build_graph, max_disjoint_directed_cuts
 
             cuts, _ = max_disjoint_directed_cuts(build_graph(p))

@@ -2,15 +2,37 @@
 
 For a stack on the vertex box [m] x [n] the multiplicity satisfies
 e(P) = e(P1) + e(P2) where P1 deletes the distinguished top cell and P2
-keeps the cells at or above the distinguished level; full rectangles
-ground the recursion at e = binom(m+n-2, m-1). That identity holds and
-is enforced.
+keeps the cells at or above the distinguished level. The identity lifts
+to the whole h-polynomial, the numerator of the Hilbert series:
+
+    h_P(t) = h_P1(t) + t * h_P2(t).
+
+Proof sketch. Let D be the initial complex of P (a flag complex with
+facets of size d = m + n - 1) and v the distinguished vertex. The faces
+of D split into those without v and those with v, so the f-polynomial
+F(t) = sum of f_(i-1) t^i is F_D = F_del(v) + t * F_lk(v). With
+h(t) = (1 - t)^k F(t / (1 - t)) for facets of size k, this becomes
+h_D = h_del(v) + t * h_lk(v): the deletion has facets of size d and the
+link of size d - 1. The paper identifies del(v) with D(P1) (coned over
+a vertex when P1 drops a column) and lk(v) with D(P2) joined with a
+fixed simplex, the block G2 of srcomplex.link_decompose. A cone or a
+join with a simplex does not change h. Full rectangles ground the
+recursion: a cells wide and b cells tall, h_k = binom(a, k) *
+binom(b, k), which sums to e = binom(a + b, a). Then e(P) = h_P(1),
+reg(P) = deg h_P and a(P) = reg(P) - d.
 
 A stack is exactly its profile, the tuple (h_1, ..., h_{m-1}) of its
 cell column heights, so the recursion runs on profiles: one step is a
-few tuple operations, and the memo _mult_memo is keyed by profile. A
-Polyomino is read once on entry; decompose builds its P1 and P2 from
-the same step.
+few tuple operations, and the memo _mult_memo maps a profile to its
+h-vector. The memo is cleared on entry to a call once it holds more
+than _MEMO_MAX_ENTRIES profiles. A Polyomino is read once on entry;
+decompose builds its P1 and P2 from the same step.
+
+full_report takes every stack invariant from this recursion and builds
+no complex. Two independent runtime checks certify it: deg h must equal
+the closed-form regularity below, and h must be palindromic exactly
+when the interval criterion says K[P] is Gorenstein (Stanley's theorem
+for Cohen-Macaulay domains). A split raises ConsistencyError.
 
 The regularity of a stack is exact in closed form. Let P_j be the cells
 at or above cell row j and [m_j] x [n_j] the smallest interval holding
@@ -31,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .errors import (
     BadParameters,
@@ -168,29 +191,57 @@ def multiplicity_rectangle(m: int, n: int) -> int:
     return comb(m + n - 2, m - 1)
 
 
-_mult_memo: dict[Profile, int] = {}
+HVector = tuple[int, ...]
+
+# Past this many profiles the memo is cleared on entry to a call; a
+# 2000-cell stack alone adds about 35,000.
+_MEMO_MAX_ENTRIES = 10_000
+
+_mult_memo: dict[Profile, HVector] = {}
+
+
+def h_vector_recursive(p: Polyomino) -> HVector:
+    """h-vector of K[P] by the deletion recursion, memoized on cell
+    column heights. See the module docstring."""
+    if not is_stack(p):
+        raise NotStack("the recursion needs a stack polyomino")
+    return _h(_profile(p))
 
 
 def multiplicity_recursive(p: Polyomino) -> int:
-    """e(P) by the deletion recursion, memoized on cell column heights."""
-    if not is_stack(p):
-        raise NotStack("the multiplicity recursion needs a stack polyomino")
-    return _e(_profile(p))
+    """e(P) = h_P(1) by the deletion recursion."""
+    return sum(h_vector_recursive(p))
 
 
-def _e(hs: Profile) -> int:
-    """e of the stack with profile hs, on an explicit work stack so that
+def _rectangle_h(a: int, b: int) -> HVector:
+    """h of the rectangle a cells wide and b cells tall."""
+    return tuple(comb(a, k) * comb(b, k) for k in range(min(a, b) + 1))
+
+
+def _add_shifted(h1: HVector, h2: HVector) -> HVector:
+    """h1 + t * h2."""
+    n = len(h2) + 1
+    if len(h1) < n:
+        h1 += (0,) * (n - len(h1))
+    return (h1[0], *map(add, h1[1:n], h2), *h1[n:])
+
+
+def _h(hs: Profile) -> HVector:
+    """h of the stack with profile hs, on an explicit work stack so that
     the depth (one level per cell) is not bounded by Python's recursion
-    limit. A constant profile is the [len + 1] x [h + 1] rectangle."""
+    limit. A constant profile is the rectangle len cells wide and h
+    cells tall."""
     memo = _mult_memo
+    if len(memo) > _MEMO_MAX_ENTRIES:
+        memo.clear()
     work: list[tuple[Profile, tuple[Profile, Profile] | None]] = [(hs, None)]
     while work:
         top, parts = work.pop()
         if parts is not None:
-            memo[top] = memo[parts[0]] + memo[parts[1]]
+            memo[top] = _add_shifted(memo[parts[0]], memo[parts[1]])
         elif top not in memo:
             if top.count(top[0]) == len(top):
-                memo[top] = comb(len(top) + top[0], len(top))
+                memo[top] = _rectangle_h(len(top), top[0])
             else:
                 p1, p2 = _step(top)
                 work.append((top, (p1, p2)))
@@ -305,88 +356,80 @@ def full_report(
 ) -> InvariantReport:
     """Every invariant this package can certify for p, with method tags.
 
-    Complex-derived values win wherever the size guards allow the facet
-    enumeration: the multiplicity recursion and the exact closed forms
-    for a and regularity must then agree with them (any split raises
-    ConsistencyError). The bounding-box bounds are beaten on some
-    stacks (smallest: 5 cells, a base row of three cells with a
-    two-cell tower); such a gap is reported in notes, never raised.
-    With the complex unavailable a stack's a and regularity come from
-    the exact closed forms, under the "formula" method tag. Non-stack
-    convex shapes get complex-derived values only when a supplied order
-    passes the Groebner check, plus the Gorenstein verdict from the
-    subset sweep. A supplied order must rank exactly the vertices of p
-    (BadParameters otherwise).
+    A stack takes its h-vector, regularity deg h, a-invariant deg h - d
+    and multiplicity h(1) from the h-polynomial recursion, all tagged
+    "recursion", at any size: no complex is built and the size guards
+    do not apply. Two independent checks certify the recursion at
+    runtime: deg h must equal the exact closed-form regularity, and h
+    must be palindromic exactly when the interval criterion calls K[P]
+    Gorenstein. Either split raises ConsistencyError. The bounding-box
+    bounds are beaten on some stacks (smallest: 5 cells, a base row of
+    three cells with a two-cell tower); such a gap is reported in
+    notes, never raised.
+
+    Non-stack convex shapes get complex-derived values ("complex") only
+    when a supplied order passes the Groebner check and the complex is
+    within max_facet_vertices (h, a and regularity also within
+    max_fvector_vertices). Every shape gets the Gorenstein verdict from
+    the interval criterion when m <= max_subset_bits. A supplied order
+    must rank exactly the vertices of p (BadParameters otherwise); a
+    stack does not use it.
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
     if order is not None:
-        # also when the size guards leave the order unused
+        # also when the order goes unused
         _check_ranks(p, order)
     stack = is_stack(p)
+    d = p.m + p.n - 1
     methods: dict[str, str] = {}
     notes: list[str] = []
-    a = reg = mult = None
-    h = None
+    a = reg = mult = h = None
     if stack:
-        a, reg = _exact_pair(p)
-        mult = multiplicity_recursive(p)
-        methods["a_invariant"] = "formula"
-        methods["regularity"] = "formula"
-        methods["multiplicity"] = "recursion"
-    ci = None
-    if (stack or order is not None) and len(p.vertices) <= max_facet_vertices:
+        h = h_vector_recursive(p)
+        mult = sum(h)
+        reg = len(h) - 1
+        a = reg - d
+        for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):
+            methods[name] = "recursion"
+        exact_reg = _exact_pair(p)[1]
+        if reg != exact_reg:
+            raise ConsistencyError(
+                f"recursion gives regularity deg h = {reg}, closed form {exact_reg}"
+            )
+        bound_a, bound_reg = _box_bounds(p)
+        if (bound_a, bound_reg) != (a, reg):
+            notes.append(
+                f"bounding-box bounds predict a={bound_a}, regularity={bound_reg}; "
+                f"the recursion gives a={a}, regularity={reg} (reported)"
+            )
+    elif order is not None and len(p.vertices) <= max_facet_vertices:
         try:
             c = build_complex(p, order)
         except GroebnerUnverified:
             c = None
         if c is not None:
             ci = invariants_from_complex(c, max_fvector_vertices, max_facet_vertices)
-    if ci is not None:
-        if mult is None:
             mult = ci.multiplicity
             methods["multiplicity"] = "complex"
-        elif ci.multiplicity != mult:
-            raise ConsistencyError(
-                f"multiplicity: recursion {mult} vs complex {ci.multiplicity}"
-            )
-        if ci.regularity is not None:
-            got = (ci.a_invariant, ci.regularity)
-            if stack:
-                if (a, reg) != got:
-                    raise ConsistencyError(
-                        f"closed form a={a}, regularity={reg} vs complex "
-                        f"a={ci.a_invariant}, regularity={ci.regularity}"
-                    )
-                bound_a, bound_reg = _box_bounds(p)
-                if (bound_a, bound_reg) != got:
-                    notes.append(
-                        f"closed forms predict a={bound_a}, regularity={bound_reg}; "
-                        f"the complex gives a={ci.a_invariant}, "
-                        f"regularity={ci.regularity} (reported)"
-                    )
-            reg = ci.regularity
-            a = ci.a_invariant
-            methods["regularity"] = "complex"
-            methods["a_invariant"] = "complex"
-            h = ci.h_vector
-            methods["h_vector"] = "complex"
+            if ci.regularity is not None:
+                a, reg, h = ci.a_invariant, ci.regularity, ci.h_vector
+                for name in ("a_invariant", "regularity", "h_vector"):
+                    methods[name] = "complex"
     gor = None
     if p.m <= max_subset_bits:
         gor = is_gorenstein_convex(p, max_subset_bits).gorenstein
         methods["gorenstein"] = "interval criterion"
+        if stack and (h == h[::-1]) != gor:
+            raise ConsistencyError(
+                f"h-vector {h} palindromicity contradicts the Gorenstein verdict {gor}"
+            )
     for name in ("a_invariant", "regularity", "multiplicity", "h_vector", "gorenstein"):
         methods.setdefault(name, "unavailable")
-    if reg is not None and a is not None:
-        d = p.m + p.n - 1
-        if reg != d + a:
-            raise ConsistencyError(f"regularity {reg} != d + a = {d + a}")
-    if h is not None and mult is not None and sum(h) != mult:
-        raise ConsistencyError(f"h-vector sums to {sum(h)}, multiplicity {mult}")
     return InvariantReport(
         m=p.m,
         n=p.n,
-        d=p.m + p.n - 1,
+        d=d,
         a_invariant=a,
         regularity=reg,
         multiplicity=mult,

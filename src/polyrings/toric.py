@@ -184,11 +184,23 @@ def _terms(mn: InnerMinor, pos: dict[Variable, int]) -> tuple[Monomial, Monomial
 
 def leading_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
     """The revlex-larger of the minor's two monomials."""
-    return frozenset(_terms(minor, order._pos)[0])
+    return frozenset(_ranked_terms(minor, order)[0])
 
 
 def trailing_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
-    return frozenset(_terms(minor, order._pos)[1])
+    return frozenset(_ranked_terms(minor, order)[1])
+
+
+def _ranked_terms(minor: InnerMinor, order: VarOrder) -> tuple[Monomial, Monomial]:
+    """_terms, or BadParameters naming the minor's unranked variables."""
+    try:
+        return _terms(minor, order._pos)
+    except KeyError:
+        missing = sorted((minor.diagonal | minor.antidiagonal) - order._pos.keys())
+        raise BadParameters(
+            f"the order does not rank every variable of the minor {minor}; "
+            "unranked: " + " ".join(var_str(v) for v in missing)
+        ) from None
 
 
 def _check_ranks(p: Polyomino, order: VarOrder) -> None:

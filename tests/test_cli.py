@@ -44,8 +44,8 @@ def test_invariants_text_ex3(capsys):
     assert rc == 0
     assert out.splitlines() == [
         "box: [4] x [4]   d: 7",
-        "a-invariant: -4 [complex]",
-        "regularity: 3 [complex]",
+        "a-invariant: -4 [recursion]",
+        "regularity: 3 [recursion]",
         "multiplicity: 14 [recursion]",
         "h-vector: 1 6 6 1",
         "gorenstein: yes",
@@ -65,11 +65,11 @@ def test_invariants_json_ex3(capsys):
 def test_invariants_note_when_formulas_lose(capsys):
     rc, out, _ = run(capsys, "invariants", path("figb"))
     assert rc == 0
-    assert "a-invariant: -6 [complex]" in out
-    assert "regularity: 2 [complex]" in out
+    assert "a-invariant: -6 [recursion]" in out
+    assert "regularity: 2 [recursion]" in out
     assert (
-        "note: closed forms predict a=-5, regularity=3; "
-        "the complex gives a=-6, regularity=2 (reported)"
+        "note: bounding-box bounds predict a=-5, regularity=3; "
+        "the recursion gives a=-6, regularity=2 (reported)"
     ) in out
 
 
@@ -208,6 +208,18 @@ def test_decompose_oracle_catches_a_wrong_recursion(capsys, monkeypatch):
     monkeypatch.setattr(invariants, "_step", last_column_step)
     rc, _, err = run(capsys, "decompose", path("ex3"), "--oracle")
     assert rc == 2 and "mirror" in err
+
+
+def test_invariants_oracle_catches_a_wrong_recursion(capsys, monkeypatch):
+    # a step that returns (P2, P1) keeps h(1), and on fig13 also deg h
+    # and the palindromicity, so only the complex's h-vector can tell
+    step = invariants._step
+    monkeypatch.setattr(invariants, "_mult_memo", {})
+    monkeypatch.setattr(invariants, "_step", lambda hs: step(hs)[::-1])
+    rc, _, err = run(capsys, "invariants", path("fig13"))
+    assert (rc, err) == (0, "")
+    rc, _, err = run(capsys, "invariants", path("fig13"), "--oracle")
+    assert rc == 2 and "vs complex" in err
 
 
 def test_unknown_command_exits_1(capsys):

@@ -2,19 +2,22 @@ import random
 
 import pytest
 
-from polyrings import invariants
+from polyrings import invariants, srcomplex
 from polyrings.errors import (
     BadParameters,
+    ConsistencyError,
     IsRectangle,
     NotConvex,
     NotStack,
 )
+from polyrings.gorenstein import GorensteinVerdict
 from polyrings.invariants import (
     a_invariant_stack,
     a_invariant_stack_exact,
     decompose,
     distinguished_vertex,
     full_report,
+    h_vector_recursive,
     ladder_polyomino,
     multiplicity_ladder,
     multiplicity_pk,
@@ -36,7 +39,7 @@ from polyrings.polyomino import (
     stack_from_profile,
     transpose,
 )
-from polyrings.srcomplex import build_complex, facets, invariants_from_complex
+from polyrings.srcomplex import build_complex, facets, hilbert_numerator, invariants_from_complex
 from polyrings.toric import variable_order
 from pool import STACK_FIXTURES, complex_of, fx, stacks_upto
 
@@ -94,22 +97,22 @@ def test_five_cell_counterexamples():
 
 
 def test_full_report_past_the_fvector_guard():
-    # 10-cell base row with a 2-cell tower at one end: 26 vertices, so
-    # the default f-vector guard leaves a and reg to the closed forms
+    # 10-cell base row with a 2-cell tower at one end: 26 vertices, past
+    # the default f-vector guard, which a stack's report no longer needs
     p = Polyomino([(c, 1) for c in range(1, 11)] + [(10, 2), (10, 3)])
     assert len(p.vertices) == 26
     r = full_report(p)
     assert (r.a_invariant, r.regularity) == (-12, 2)
-    assert r.methods["a_invariant"] == r.methods["regularity"] == "formula"
-    assert r.h_vector is None
-    wide = full_report(p, max_fvector_vertices=26)
-    assert (wide.a_invariant, wide.regularity) == (-12, 2)
-    assert wide.methods["a_invariant"] == wide.methods["regularity"] == "complex"
-    assert wide.multiplicity == r.multiplicity == sum(wide.h_vector)
-    assert wide.notes == (
-        "closed forms predict a=-11, regularity=3; the complex gives "
+    assert r.h_vector == hilbert_numerator(complex_of(p), 26)
+    assert r.multiplicity == sum(r.h_vector)
+    assert all(r.methods[name] == "recursion" for name in (
+        "a_invariant", "regularity", "multiplicity", "h_vector",
+    ))
+    assert r.notes == (
+        "bounding-box bounds predict a=-11, regularity=3; the recursion gives "
         "a=-12, regularity=2 (reported)",
     )
+    assert full_report(p, max_fvector_vertices=26).to_dict() == r.to_dict()
 
 
 def test_decompose_ex3():
@@ -201,6 +204,44 @@ def test_multiplicity_of_a_deep_stack(monkeypatch):
     p = stack_from_profile(hs)
     assert (p.m, p.n) == (60, 60) and len(p.cells) >= 1700
     assert multiplicity_recursive(p) == multiplicity_recursive(mirror(p))
+
+
+def test_h_recursion_matches_the_complex():
+    for p in stacks_upto(11):
+        assert h_vector_recursive(p) == hilbert_numerator(complex_of(p), 24), sorted(p.cells)
+
+
+def test_h_splits_along_the_decomposition():
+    # h_P = h_P1 + t * h_P2 read off three complexes, independent of the
+    # recursion's own arithmetic
+    for p in stacks_upto(9):
+        if is_rectangle(p):
+            continue
+        dec = decompose(p)
+        h1 = hilbert_numerator(complex_of(dec.p1))
+        h2 = (0,) + hilbert_numerator(complex_of(dec.p2))
+        width = max(len(h1), len(h2))
+        h1 += (0,) * (width - len(h1))
+        h2 += (0,) * (width - len(h2))
+        assert hilbert_numerator(complex_of(p)) == tuple(map(sum, zip(h1, h2)))
+
+
+def test_h_of_a_rectangle():
+    # a cells wide, b cells tall: h_k = binom(a, k) * binom(b, k)
+    rect = stack_from_profile((3, 3, 3, 3))
+    assert h_vector_recursive(rect) == (1, 12, 18, 4)
+    assert multiplicity_recursive(rect) == multiplicity_rectangle(5, 4) == 35
+
+
+def test_memo_is_cleared_past_its_bound(monkeypatch):
+    monkeypatch.setattr(invariants, "_mult_memo", {})
+    monkeypatch.setattr(invariants, "_MEMO_MAX_ENTRIES", 5)
+    big, small = stack_from_profile((1, 3, 4, 2)), stack_from_profile((1, 2))
+    e = multiplicity_recursive(big)
+    assert len(invariants._mult_memo) > 5
+    assert multiplicity_recursive(small) == 5
+    assert set(invariants._mult_memo) == {(1, 2), (1,), (2,)}
+    assert multiplicity_recursive(big) == e
 
 
 def test_multiplicity_transpose_invariant():
@@ -306,7 +347,7 @@ def test_full_report_fig14():
     assert r.gorenstein is False
     assert r.notes == ()
     assert r.methods["multiplicity"] == "recursion"
-    assert r.methods["a_invariant"] == "complex"
+    assert r.methods["a_invariant"] == "recursion"
 
 
 def test_full_report_ex3():
@@ -322,13 +363,48 @@ def test_full_report_notes_on_beaten_bounds():
     r = full_report(fx("figb"))
     assert (r.a_invariant, r.regularity, r.multiplicity) == (-6, 2, 13)
     assert r.notes == (
-        "closed forms predict a=-5, regularity=3; the complex gives "
+        "bounding-box bounds predict a=-5, regularity=3; the recursion gives "
         "a=-6, regularity=2 (reported)",
     )
     r2 = full_report(fx("fig12_b"))
     assert (r2.a_invariant, r2.regularity, r2.multiplicity) == (-6, 3, 32)
     assert r2.h_vector == (1, 9, 16, 6)
     assert len(r2.notes) == 1
+
+
+def test_full_report_certifies_every_stack_up_to_13_cells():
+    # both runtime certificates run on each: deg h against the closed
+    # form, palindromic h against the Gorenstein verdict
+    for p in stacks_upto(13):
+        r = full_report(p)
+        assert r.regularity == regularity_stack_exact(p)
+        assert r.gorenstein == (r.h_vector == r.h_vector[::-1])
+
+
+def test_full_report_certificates_can_fail(monkeypatch):
+    p = fx("fig14")
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "_exact_pair", lambda q: (-7, 2))
+        with pytest.raises(ConsistencyError, match="closed form"):
+            full_report(p)
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "is_gorenstein_convex", lambda q, bits: GorensteinVerdict(
+            True, None, (), "forced"
+        ))
+        with pytest.raises(ConsistencyError, match="palindromicity"):
+            full_report(p)
+
+
+def test_full_report_builds_no_complex_for_a_stack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_complex called for a stack")
+
+    monkeypatch.setattr(invariants, "build_complex", refuse)
+    monkeypatch.setattr(srcomplex, "build_complex", refuse)
+    for p in [fx(name) for name in STACK_FIXTURES] + [stack_from_profile((2, 5, 9, 9, 4, 1))]:
+        r = full_report(p, max_fvector_vertices=1, max_facet_vertices=1)
+        assert r.h_vector is not None
+        assert r.methods["h_vector"] == "recursion"
 
 
 def test_full_report_gates_non_stacks():

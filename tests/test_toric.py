@@ -314,3 +314,18 @@ def test_order_ranking_a_non_vertex_is_rejected():
     ranked = variable_order(p).ranked
     assert_order_rejected(p, VarOrder(ranked + ((9, 9),)))
     assert_order_rejected(p, VarOrder(((9, 9),) + ranked, advisory=True))
+
+
+def test_terms_under_an_order_missing_a_vertex_are_rejected():
+    p = parse("##\n##")
+    order = VarOrder(variable_order(p).ranked[:-1])
+    unranked = set(p.vertices) - set(order.ranked)
+    for mn in inner_minors(p):
+        if unranked & (mn.diagonal | mn.antidiagonal):
+            for term in (leading_term, trailing_term):
+                with pytest.raises(BadParameters, match="unranked: x11"):
+                    term(mn, order)
+        else:
+            assert leading_term(mn, order) | trailing_term(mn, order) == (
+                mn.diagonal | mn.antidiagonal
+            )
