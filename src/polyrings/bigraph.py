@@ -2,8 +2,8 @@
 
 X carries one node per vertex column (x_1..x_m), Y one per vertex level
 (y_1..y_n), and (i, j) is an edge exactly when the lattice point (i, j)
-is a corner of some cell. Subsets of a side are fixed-width bit sets,
-bit i-1 standing for x_i (or y_i).
+is a corner of some cell. Subsets of a side are bit sets of the side's
+width (Python ints, so any width), bit i-1 standing for x_i (or y_i).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from typing import Iterator
 
 from .errors import TooLarge
 from .polyomino import Polyomino
-
-MAX_SIDE = 62
 
 
 @dataclass(frozen=True)
@@ -28,9 +26,7 @@ class SideSubset:
     def __post_init__(self):
         if self.side not in ("X", "Y"):
             raise ValueError(f"side must be 'X' or 'Y', not {self.side!r}")
-        if self.width < 0 or self.width > MAX_SIDE:
-            raise TooLarge(f"side width {self.width} exceeds {MAX_SIDE}")
-        if self.bits < 0 or self.bits >> self.width:
+        if self.width < 0 or self.bits < 0 or self.bits >> self.width:
             raise ValueError("bits outside the declared width")
 
     @classmethod
@@ -97,8 +93,6 @@ class BipartiteGraph:
     )
 
     def __init__(self, p: Polyomino):
-        if p.m > MAX_SIDE or p.n > MAX_SIDE:
-            raise TooLarge(f"vertex box {p.m} x {p.n} exceeds bit-set width {MAX_SIDE}")
         self.m = p.m
         self.n = p.n
         self.cells = p.cells
@@ -142,25 +136,13 @@ def build_graph(p: Polyomino) -> BipartiteGraph:
     return BipartiteGraph(p)
 
 
-def _n_of_x_bits(g: BipartiteGraph, xbits: int) -> int:
+def _or_rows(bits: int, table) -> int:
+    """OR of table[i] over the members i of a bit set (bit i-1 is i)."""
     out = 0
-    i = 1
-    while xbits:
-        if xbits & 1:
-            out |= g.adj_x[i]
-        xbits >>= 1
-        i += 1
-    return out
-
-
-def _n_of_y_bits(g: BipartiteGraph, ybits: int) -> int:
-    out = 0
-    j = 1
-    while ybits:
-        if ybits & 1:
-            out |= g.adj_y[j]
-        ybits >>= 1
-        j += 1
+    while bits:
+        low = bits & -bits
+        out |= table[low.bit_length()]
+        bits ^= low
     return out
 
 
@@ -168,14 +150,14 @@ def neighbors_y(g: BipartiteGraph, t: SideSubset) -> SideSubset:
     """N_Y(T) for T a subset of X."""
     if t.side != "X":
         raise ValueError("neighbors_y expects an X subset")
-    return SideSubset("Y", _n_of_x_bits(g, t.bits), g.n)
+    return SideSubset("Y", _or_rows(t.bits, g.adj_x), g.n)
 
 
 def neighbors_x(g: BipartiteGraph, u: SideSubset) -> SideSubset:
     """N_X(U) for U a subset of Y."""
     if u.side != "Y":
         raise ValueError("neighbors_x expects a Y subset")
-    return SideSubset("X", _n_of_y_bits(g, u.bits), g.m)
+    return SideSubset("X", _or_rows(u.bits, g.adj_y), g.m)
 
 
 def _contiguous(bits: int) -> bool:
@@ -183,6 +165,13 @@ def _contiguous(bits: int) -> bool:
         return True
     shifted = bits >> (bits & -bits).bit_length() - 1
     return shifted & (shifted + 1) == 0
+
+
+def _neighbor_interval(bits: int, adj, step) -> bool:
+    """The neighbours of a bit set form a contiguous run whose every step
+    is witnessed by a member: the shared core of both interval tests."""
+    nbits = _or_rows(bits, adj)
+    return _contiguous(nbits) and (nbits & nbits >> 1) & ~_or_rows(bits, step) == 0
 
 
 def is_neighbor_vertical_interval(g: BipartiteGraph, t: SideSubset) -> bool:
@@ -194,40 +183,14 @@ def is_neighbor_vertical_interval(g: BipartiteGraph, t: SideSubset) -> bool:
     """
     if t.side != "X" or t.bits == 0:
         raise ValueError("need a nonempty X subset")
-    nbits = 0
-    stepmask = 0
-    rest = t.bits
-    i = 1
-    while rest:
-        if rest & 1:
-            nbits |= g.adj_x[i]
-            stepmask |= g.vstep[i]
-        rest >>= 1
-        i += 1
-    if not _contiguous(nbits):
-        return False
-    pairs = nbits & (nbits >> 1)
-    return pairs & ~stepmask == 0
+    return _neighbor_interval(t.bits, g.adj_x, g.vstep)
 
 
 def is_neighbor_horizontal_interval(g: BipartiteGraph, u: SideSubset) -> bool:
     """N_X(U) is a contiguous run of columns, each step witnessed inside U."""
     if u.side != "Y" or u.bits == 0:
         raise ValueError("need a nonempty Y subset")
-    nbits = 0
-    stepmask = 0
-    rest = u.bits
-    j = 1
-    while rest:
-        if rest & 1:
-            nbits |= g.adj_y[j]
-            stepmask |= g.hstep[j]
-        rest >>= 1
-        j += 1
-    if not _contiguous(nbits):
-        return False
-    pairs = nbits & (nbits >> 1)
-    return pairs & ~stepmask == 0
+    return _neighbor_interval(u.bits, g.adj_y, g.hstep)
 
 
 def _connected_parts(g: BipartiteGraph, xbits: int, ybits: int) -> int:
@@ -241,8 +204,8 @@ def _connected_parts(g: BipartiteGraph, xbits: int, ybits: int) -> int:
             comp_x = 1 << start
             comp_y = 0
             while True:
-                grow_y = _n_of_x_bits(g, comp_x) & ybits
-                grow_x = _n_of_y_bits(g, comp_y | grow_y) & xbits
+                grow_y = _or_rows(comp_x, g.adj_x) & ybits
+                grow_x = _or_rows(comp_y | grow_y, g.adj_y) & xbits
                 if grow_y | comp_y == comp_y and grow_x | comp_x == comp_x:
                     break
                 comp_y |= grow_y
@@ -307,14 +270,35 @@ def has_perfect_matching(g: BipartiteGraph) -> bool:
 
 
 def hall_violator(g: BipartiteGraph) -> SideSubset | None:
-    """First subset (X side then Y side, increasing bit value) with |N(T)| < |T|."""
-    for t in range(1, 1 << g.m):
-        if _n_of_x_bits(g, t).bit_count() < t.bit_count():
-            return SideSubset("X", t, g.m)
-    for u in range(1, 1 << g.n):
-        if _n_of_y_bits(g, u).bit_count() < u.bit_count():
-            return SideSubset("Y", u, g.n)
-    return None
+    """A subset T with |N(T)| < |T|, X side first, or None when a perfect
+    matching exists.
+
+    Konig's construction from a maximum matching: the vertices reachable
+    from the lowest unmatched vertex of a deficient side by alternating
+    paths (any edge out of that side, matched edges back). Every reached
+    vertex of the other side is matched, or the matching would augment,
+    so the reached part of the deficient side has one member more than
+    neighbours. Polynomial, and a violator, but not necessarily the first
+    one in bit order.
+    """
+    match = max_matching(g)
+    if len(match) < g.m:
+        side, width, other, adj = "X", g.m, g.n, g.adj_x
+        back = {j: i for i, j in match.items()}
+    elif len(match) < g.n:
+        side, width, other, adj, back = "Y", g.n, g.m, g.adj_y, match
+    else:
+        return None
+    # mate_bits[j]: the mate on the deficient side of a matched vertex j
+    mate_bits = [0] * (other + 1)
+    for j, i in back.items():
+        mate_bits[j] = 1 << (i - 1)
+    unmatched = ((1 << width) - 1) & ~_or_rows((1 << other) - 1, mate_bits)
+    reached = frontier = unmatched & -unmatched
+    while frontier:
+        frontier = _or_rows(_or_rows(frontier, adj), mate_bits) & ~reached
+        reached |= frontier
+    return SideSubset(side, reached, width)
 
 
 @dataclass(frozen=True)

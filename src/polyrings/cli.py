@@ -97,7 +97,7 @@ def cmd_check(p: Polyomino, args) -> int:
 
 
 def cmd_gorenstein(p: Polyomino, args) -> int:
-    verdict = is_gorenstein_convex(p, args.max_subset_bits)
+    verdict = is_gorenstein_convex(p)
     if args.oracle and is_stack(p):
         sub = is_gorenstein_stack_subsets(p)
         cor = is_gorenstein_stack_corners(p)
@@ -150,11 +150,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
         raise PolyominoError(
             "oracle cross-check impossible: vertex count exceeds --max-facet-vertices"
         )
-    rep = full_report(
-        p,
-        max_subset_bits=args.max_subset_bits,
-        max_facet_vertices=args.max_facet_vertices,
-    )
+    rep = full_report(p, max_facet_vertices=args.max_facet_vertices)
     if args.oracle and is_stack(p):
         from .polyomino import transpose
 
@@ -198,10 +194,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
         print("h-vector:", " ".join(str(x) for x in rep.h_vector))
     else:
         print("h-vector: unavailable")
-    if rep.gorenstein is None:
-        print("gorenstein: unavailable")
-    else:
-        print(f"gorenstein: {'yes' if rep.gorenstein else 'no'}")
+    print(f"gorenstein: {'yes' if rep.gorenstein else 'no'}")
     for note in rep.notes:
         print(f"note: {note}")
     return 0
@@ -327,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
             action="store_true",
             help="run brute-force cross-checks, fail on disagreement",
         )
-        sp.add_argument("--max-subset-bits", type=int, default=24)
         sp.add_argument("--max-facet-vertices", type=int, default=40)
         sp.set_defaults(func=fn)
     return top

@@ -328,7 +328,7 @@ class InvariantReport:
     regularity: int | None
     multiplicity: int | None
     h_vector: tuple[int, ...] | None
-    gorenstein: bool | None
+    gorenstein: bool
     methods: dict[str, str]
     notes: tuple[str, ...] = ()
 
@@ -350,7 +350,6 @@ class InvariantReport:
 def full_report(
     p: Polyomino,
     order: VarOrder | None = None,
-    max_subset_bits: int = 24,
     max_fvector_vertices: int = 24,
     max_facet_vertices: int = 40,
 ) -> InvariantReport:
@@ -370,10 +369,10 @@ def full_report(
     Non-stack convex shapes get complex-derived values ("complex") only
     when a supplied order passes the Groebner check and the complex is
     within max_facet_vertices (h, a and regularity also within
-    max_fvector_vertices). Every shape gets the Gorenstein verdict from
-    the interval criterion when m <= max_subset_bits. A supplied order
-    must rank exactly the vertices of p (BadParameters otherwise); a
-    stack does not use it.
+    max_fvector_vertices). Every shape, at any size, gets the Gorenstein
+    verdict from the polynomial interval scan of the convex criterion
+    (tagged "interval criterion"). A supplied order must rank exactly
+    the vertices of p (BadParameters otherwise); a stack does not use it.
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
@@ -416,15 +415,13 @@ def full_report(
                 a, reg, h = ci.a_invariant, ci.regularity, ci.h_vector
                 for name in ("a_invariant", "regularity", "h_vector"):
                     methods[name] = "complex"
-    gor = None
-    if p.m <= max_subset_bits:
-        gor = is_gorenstein_convex(p, max_subset_bits).gorenstein
-        methods["gorenstein"] = "interval criterion"
-        if stack and (h == h[::-1]) != gor:
-            raise ConsistencyError(
-                f"h-vector {h} palindromicity contradicts the Gorenstein verdict {gor}"
-            )
-    for name in ("a_invariant", "regularity", "multiplicity", "h_vector", "gorenstein"):
+    gor = is_gorenstein_convex(p).gorenstein
+    methods["gorenstein"] = "interval criterion"
+    if stack and (h == h[::-1]) != gor:
+        raise ConsistencyError(
+            f"h-vector {h} palindromicity contradicts the Gorenstein verdict {gor}"
+        )
+    for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):
         methods.setdefault(name, "unavailable")
     return InvariantReport(
         m=p.m,

@@ -93,22 +93,30 @@ def brute_gorenstein_convex(p):
         for u in combinations(ys, k):
             if len(neigh_x(p, set(u))) < k:
                 return False
-    for k in range(1, m):
-        for t in combinations(xs, k):
-            t = set(t)
-            ny = neigh_y(p, t)
-            if not vertical_interval(p, t):
-                continue
-            u = set(ys) - ny
-            if not u:
-                continue
-            if neigh_x(p, u) != set(xs) - t:
-                continue
-            if not horizontal_interval(p, u):
-                continue
-            if len(ny) != len(t) + 1:
-                return False
-    return True
+    return all(len(ny) == len(t) + 1 for t, ny in brute_admissible(p))
+
+
+def brute_admissible(p):
+    """Every nonempty proper column set T meeting conditions (a) and (b)
+    as written, listed in increasing bit order (by the sum of 2^(x-1)
+    over x in T), each as the pair (sorted T, sorted N_Y(T))."""
+    vs = vertex_set(p)
+    xs = {c for c, _ in vs}
+    ys = {r for _, r in vs}
+    m = max(xs)
+    out = []
+    for code in range(1, (1 << m) - 1):
+        t = {x for x in xs if code >> (x - 1) & 1}
+        ny = neigh_y(p, t)
+        u = ys - ny
+        if (
+            u
+            and vertical_interval(p, t)
+            and neigh_x(p, u) == xs - t
+            and horizontal_interval(p, u)
+        ):
+            out.append((tuple(sorted(t)), tuple(sorted(ny))))
+    return out
 
 
 def brute_stack_subsets(p):

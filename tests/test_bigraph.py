@@ -206,8 +206,8 @@ def test_hall_matches_matching():
 
 
 def test_hall_violator_is_violating():
-    for name in ("fig8", "ex3", "fig12_b"):
-        g = build_graph(fx(name))
+    for p in [fx(name) for name in ("fig8", "ex3", "fig12_b")] + list(convex_upto(8)):
+        g = build_graph(p)
         t = hall_violator(g)
         if t is None:
             continue

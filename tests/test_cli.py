@@ -89,6 +89,14 @@ def test_gorenstein_fig9(capsys):
     ]
 
 
+def test_invariants_on_a_70_cell_strip(capsys):
+    grid = "\\n".join(["#"] * 70)
+    rc, out, err = run(capsys, "invariants", "--grid", grid)
+    assert (rc, err) == (0, "")
+    assert "multiplicity: 71 [recursion]" in out.splitlines()
+    assert out.splitlines()[-1] == "gorenstein: no"
+
+
 def test_gorenstein_json(capsys):
     rc, out, _ = run(capsys, "gorenstein", path("fig9"), "--json")
     assert rc == 0

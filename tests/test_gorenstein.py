@@ -1,6 +1,6 @@
 import pytest
 
-from polyrings.errors import NotConvex, NotStack, TooLarge
+from polyrings.errors import NotConvex, NotStack
 from polyrings.gorenstein import (
     is_gorenstein_convex,
     is_gorenstein_stack_corners,
@@ -9,7 +9,14 @@ from polyrings.gorenstein import (
 )
 from polyrings.polyomino import Polyomino, mirror, transpose
 from polyrings.srcomplex import invariants_from_complex
-from oracles import brute_gorenstein_convex, brute_stack_subsets, is_palindrome
+from oracles import (
+    brute_admissible,
+    brute_gorenstein_convex,
+    brute_stack_subsets,
+    is_palindrome,
+    neigh_x,
+    neigh_y,
+)
 from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
 
@@ -114,6 +121,37 @@ def test_against_definition_level_oracle():
         assert is_gorenstein_convex(p).gorenstein == brute_gorenstein_convex(p)
 
 
+def test_interval_scan_against_the_literal_sweep():
+    # same verdict, first violation and certificate list as the 2^m sweep
+    # of the oracle, on every convex shape with at most 9 cells
+    for p in convex_upto(9):
+        v = is_gorenstein_convex(p)
+        got = [(c.subset.indices(), c.neighbors.indices()) for c in v.certificates]
+        if v.violation is not None and v.violation.kind == "hall":
+            t = set(v.violation.subset.indices())
+            nbors = neigh_y(p, t) if v.violation.subset.side == "X" else neigh_x(p, t)
+            assert v.violation.observed == len(nbors) < len(t) == v.violation.required
+            assert got == [] and not brute_gorenstein_convex(p)
+            continue
+        want = brute_admissible(p)
+        bad = next((k for k, (t, ny) in enumerate(want) if len(ny) != len(t) + 1), None)
+        assert v.gorenstein == (bad is None), sorted(p.cells)
+        if bad is None:
+            assert got == want, sorted(p.cells)
+        else:
+            t, ny = want[bad]
+            assert got == want[:bad], sorted(p.cells)
+            assert v.violation.kind == "cardinality"
+            assert v.violation.subset.indices() == t
+            assert (v.violation.observed, v.violation.required) == (len(ny), len(t) + 1)
+
+
+def test_square_box_past_the_old_sweep_limit():
+    # m = 40 columns: no subset budget limits the verdict
+    v = is_gorenstein_convex(square(40))
+    assert v.gorenstein and v.violation is None and v.certificates == ()
+
+
 def test_stack_subsets_against_quantifier_oracle():
     for p in stacks_upto(9):
         assert is_gorenstein_stack_subsets(p).gorenstein == brute_stack_subsets(p)
@@ -141,6 +179,9 @@ def test_input_guards():
         is_gorenstein_stack_subsets(fx("fig9"))
     with pytest.raises(NotStack):
         is_gorenstein_stack_corners(fx("fig9"))
+    # 27 x 2 vertex box: no size guard, the Hall gate decides
     wide = Polyomino([(c, 1) for c in range(1, 27)])
-    with pytest.raises(TooLarge):
-        is_gorenstein_convex(wide)
+    v = is_gorenstein_convex(wide)
+    assert not v.gorenstein and v.violation.kind == "hall"
+    assert (v.violation.subset.side, len(v.violation.subset)) == ("X", 27)
+    assert (v.violation.observed, v.violation.required) == (2, 27)

@@ -204,6 +204,18 @@ def test_multiplicity_of_a_deep_stack(monkeypatch):
     p = stack_from_profile(hs)
     assert (p.m, p.n) == (60, 60) and len(p.cells) >= 1700
     assert multiplicity_recursive(p) == multiplicity_recursive(mirror(p))
+    rep = full_report(p)
+    assert rep.methods["gorenstein"] == "interval criterion"
+    assert rep.gorenstein is False
+
+
+def test_full_report_on_a_70_cell_strip_and_its_transpose():
+    # the vertical strip has n = 71 levels: bit sets have no width cap
+    strip = Polyomino([(1, r) for r in range(1, 71)])
+    for p in (strip, transpose(strip)):
+        rep = full_report(p)
+        assert (rep.multiplicity, rep.gorenstein) == (71, False)
+        assert rep.methods["gorenstein"] == "interval criterion"
 
 
 def test_h_recursion_matches_the_complex():
@@ -388,7 +400,7 @@ def test_full_report_certificates_can_fail(monkeypatch):
         with pytest.raises(ConsistencyError, match="closed form"):
             full_report(p)
     with monkeypatch.context() as mp:
-        mp.setattr(invariants, "is_gorenstein_convex", lambda q, bits: GorensteinVerdict(
+        mp.setattr(invariants, "is_gorenstein_convex", lambda q: GorensteinVerdict(
             True, None, (), "forced"
         ))
         with pytest.raises(ConsistencyError, match="palindromicity"):
