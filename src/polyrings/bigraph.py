@@ -248,20 +248,34 @@ def is_two_connected(g: BipartiteGraph) -> bool:
 
 
 def max_matching(g: BipartiteGraph) -> dict[int, int]:
-    """Maximum matching as a map x index -> y index (Kuhn augmenting paths)."""
+    """Maximum matching as a map x index -> y index (Kuhn augmenting paths).
+
+    Each search keeps its alternating path on an explicit stack, so its
+    depth is not limited by Python's recursion limit. A step takes the
+    lowest unvisited neighbour level of the x node on top; a matched
+    level extends the path by its mate, a free one flips the path, and
+    an x node with no unvisited neighbour is popped.
+    """
     match_y = [0] * (g.n + 1)
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in range(1, g.n + 1):
-            if g.adj_x[i] >> (j - 1) & 1 and j not in visited:
-                visited.add(j)
-                if match_y[j] == 0 or augment(match_y[j], visited):
-                    match_y[j] = i
-                    return True
-        return False
-
-    for i in range(1, g.m + 1):
-        augment(i, set())
+    for root in range(1, g.m + 1):
+        visited = 0
+        path = [root]  # x nodes of the alternating path
+        via: list[int] = []  # via[k]: the level path[k] tries
+        while path:
+            free = g.adj_x[path[-1]] & ~visited
+            if not free:
+                path.pop()
+                del via[-1:]
+                continue
+            low = free & -free
+            visited |= low
+            j = low.bit_length()
+            via.append(j)
+            if match_y[j] == 0:
+                for i, level in zip(path, via):
+                    match_y[level] = i
+                break
+            path.append(match_y[j])
     return {i: j for j in range(1, g.n + 1) if (i := match_y[j])}
 
 

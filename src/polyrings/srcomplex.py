@@ -11,19 +11,25 @@ Chain path. Orient each compatible (non-forbidden) pair upwards along
 the variable ranking c.order. When that orientation is transitive, the
 complex is the order complex of a poset: faces are chains and facets are
 maximal chains. f_vector then counts chains in rank order in O(V^2 d)
-and facets walks cover relations from the minimal to the maximal
-elements, at a cost that follows the number of facets. The transitivity is checked at
-runtime, once per complex; it held on every stack tried (all stacks
-with at most 10 cells) and fails on most non-stack convex shapes. When
-it fails, f_vector falls back to a memoised independent-set count and
-facets to Bron-Kerbosch. Both paths keep the purity checks and the
-max_vertices guards.
+and facets lists the maximal chains by a DP over the cover relations,
+from the top of the ranking down, at a cost that follows the number of
+facets. The transitivity is checked at runtime, once per complex; it
+held on every stack tried (all stacks with at most 10 cells) and fails
+on most non-stack convex shapes. When it fails, f_vector falls back to a
+memoised independent-set count and facets to Bron-Kerbosch. Both paths
+keep the purity checks and the max_vertices guards.
+
+Both facet searches produce int masks with vertex k at bit nv-1-k, so
+one descending sort of the masks puts the facets in the order of their
+ascending vertex tuples; purity is checked on the masks and each
+frozenset is built once, from its mask, by _members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress, repeat
 from math import comb
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
@@ -174,37 +180,65 @@ def _chain_counts(rank: tuple, up: tuple) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _maximal_chains(up: tuple) -> list[tuple[int, ...]]:
-    """Maximal chains as ascending index tuples, by depth-first search over
-    the cover relations from the minimal elements to the maximal ones."""
-    covers = []
+def _chain_masks(rank: tuple, up: tuple) -> list[int]:
+    """Maximal chains as facet masks (vertex k at bit nv-1-k).
+
+    A DP over the cover relations from the top of the ranking down:
+    chains[v] holds the maximal chains whose lowest element is v, each
+    the bit of v joined to a chain starting at a cover of v, or the bit
+    of v alone when nothing covers v. The maximal chains are those of
+    the minimal elements.
+    """
+    nv = len(up)
+    chains: list = [None] * nv
     below = 0
-    for mask in up:
+    for v in rank:
+        mask = up[v]
         inner = 0
         for u in _bits(mask):
             inner |= up[u]
-        covers.append(_bits(mask & ~inner))
-        below |= mask
-    out = []
-    path: list[int] = []
-    # one iterator per level; the bottom one runs over the minimal elements
-    stack = [iter(_bits(((1 << len(up)) - 1) & ~below))]
-    while stack:
-        for v in stack[-1]:
-            path.append(v)
-            if covers[v]:
-                stack.append(iter(covers[v]))
-                break
-            out.append(tuple(sorted(path)))
-            path.pop()
+        bit = 1 << (nv - 1 - v)
+        covers = _bits(mask & ~inner)
+        if covers:
+            chains[v] = [bit | m for u in covers for m in chains[u]]
         else:
-            stack.pop()
-            del path[-1:]
-    return out
+            chains[v] = [bit]
+        below |= mask
+    return [m for v in _bits(((1 << nv) - 1) & ~below) for m in chains[v]]
+
+
+def _mirrored(adj: tuple) -> tuple:
+    """adj with vertex k moved to index and bit nv-1-k."""
+    nv = len(adj)
+    return tuple(int(f"{adj[k]:0{nv}b}"[::-1], 2) for k in reversed(range(nv)))
+
+
+# format(mask, "0{nv}b") spells vertex 0 first; translate turns the
+# digits into the 0/1 bytes that compress selects vertices by
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(verts: tuple, masks: list[int]):
+    """The vertices of each mask, vertex k at bit nv-1-k, in index order."""
+    spec = f"0{len(verts)}b"
+    rows = [format(mask, spec).encode().translate(_ZERO_ONE) for mask in masks]
+    return map(compress, repeat(verts), rows)
 
 
 def facets(c: FlagComplex, max_vertices: int = 40) -> tuple[Facet, ...]:
-    """All facets, sorted; asserts purity (every facet has size d)."""
+    """All facets, sorted by their vertex tuples; asserts purity (every
+    facet has size d).
+
+    Each facet is first an int mask with vertex k at bit nv-1-k: maximal
+    chains by _chain_masks on the chain path, maximal independent sets
+    of the mirrored forbidden-pair graph otherwise. The highest bit in
+    which two masks differ is the least index that one facet has and the
+    other lacks; as no facet contains another, that facet also has the
+    smaller ascending index tuple. So the masks sorted in descending
+    order list the facets by their vertex tuples (c.vertices is sorted).
+    Purity is checked on the masks; each frozenset is then built once,
+    straight from its mask.
+    """
     if c._facets is not None:
         return c._facets
     nv = len(c.vertices)
@@ -212,19 +246,17 @@ def facets(c: FlagComplex, max_vertices: int = 40) -> tuple[Facet, ...]:
         raise TooLarge(f"{nv} vertices exceed the facet guard {max_vertices}")
     poset = _rank_poset(c)
     if poset is not None:
-        keys = _maximal_chains(poset[1])
+        masks = _chain_masks(*poset)
     else:
-        keys = [_bits(mk) for mk in _max_independent_sets(c._adj, (1 << nv) - 1)]
-    # c.vertices is sorted, so ordering by bit indices orders by vertices
-    keys.sort()
-    verts = c.vertices
-    for key in keys:
-        if len(key) != c.d:
+        masks = _max_independent_sets(_mirrored(c._adj), (1 << nv) - 1)
+    masks.sort(reverse=True)
+    for mask in masks:
+        if mask.bit_count() != c.d:
             raise NotPure(
-                f"facet of size {len(key)}, expected d = {c.d}: "
-                f"{[verts[k] for k in key]}"
+                f"facet of size {mask.bit_count()}, expected d = {c.d}: "
+                f"{list(next(_members(c.vertices, [mask])))}"
             )
-    c._facets = tuple(frozenset(verts[k] for k in key) for key in keys)
+    c._facets = tuple(map(frozenset, _members(c.vertices, masks)))
     return c._facets
 
 

@@ -41,7 +41,7 @@ verify_groebner raise BadParameters otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadParameters, ConsistencyError, GroebnerUnverified
 from .polyomino import Polyomino, heights, is_stack
@@ -117,9 +117,12 @@ def variable_order(p: Polyomino) -> VarOrder:
     return VarOrder(ranked, advisory=not is_stack(p))
 
 
-@dataclass(frozen=True)
-class InnerMinor:
-    """Corners (i, j) < (k, l) with every cell of the interval inside P."""
+class InnerMinor(NamedTuple):
+    """Corners (i, j) < (k, l) with every cell of the interval inside P.
+
+    A NamedTuple, since inner_minors builds one per minor and a tuple
+    is the cheapest immutable record to build.
+    """
 
     i: int
     j: int

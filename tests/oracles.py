@@ -155,6 +155,28 @@ def brute_perfect_matching(p):
     return False
 
 
+def recursive_kuhn_matching(p):
+    """Kuhn's augmenting paths written recursively, neighbours in level
+    order: the matching max_matching must reproduce, as x -> y."""
+    vs = vertex_set(p)
+    m = max(c for c, _ in vs)
+    n = max(r for _, r in vs)
+    match_y = {}
+
+    def augment(i, visited):
+        for j in range(1, n + 1):
+            if (i, j) in vs and j not in visited:
+                visited.add(j)
+                if j not in match_y or augment(match_y[j], visited):
+                    match_y[j] = i
+                    return True
+        return False
+
+    for i in range(1, m + 1):
+        augment(i, set())
+    return {i: j for j, i in match_y.items()}
+
+
 def brute_independent_sets(vertices, forbidden):
     """All independent sets of the forbidden-pair graph, as frozensets."""
     verts = list(vertices)
@@ -184,6 +206,20 @@ def brute_f_vector(vertices, forbidden, d):
     for s in brute_independent_sets(vertices, forbidden):
         if len(s) <= d:
             counts[len(s)] += 1
+    return tuple(counts)
+
+
+def brute_face_counts(facet_list):
+    """(f_-1, f_0, ...): the faces generated by facet_list, each subset of
+    each facet listed once, counted by size."""
+    faces = set()
+    for f in facet_list:
+        members = sorted(f)
+        for k in range(len(members) + 1):
+            faces.update(combinations(members, k))
+    counts = [0] * (max(map(len, faces)) + 1)
+    for face in faces:
+        counts[len(face)] += 1
     return tuple(counts)
 
 

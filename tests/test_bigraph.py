@@ -33,6 +33,7 @@ from oracles import (
     horizontal_interval,
     neigh_x,
     neigh_y,
+    recursive_kuhn_matching,
     vertical_interval,
     vertex_set,
 )
@@ -203,6 +204,22 @@ def test_hall_matches_matching():
         g = build_graph(p)
         assert has_perfect_matching(g) == (hall_violator(g) is None)
         assert has_perfect_matching(g) == brute_perfect_matching(p)
+
+
+def test_matching_equals_recursive_kuhn():
+    shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
+    for p in shapes:
+        assert max_matching(build_graph(p)) == recursive_kuhn_matching(p), sorted(p.cells)
+
+
+def test_hall_verdict_on_a_wide_staircase_band():
+    # cells (i, i) and (i + 1, i): augmenting paths grow to about 0.68 k
+    # steps, past Python's recursion limit at k = 1500
+    k = 1500
+    band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
+    g = build_graph(band)
+    assert g.m == g.n == k + 1
+    assert hall_violator(g) is None
 
 
 def test_hall_violator_is_violating():

@@ -1,9 +1,18 @@
+import random
+from math import comb
+
 import pytest
 
-from polyrings.errors import DecompositionFailed, NotAFacet, TooLarge
-from polyrings.invariants import decompose, distinguished_vertex, multiplicity_recursive
-from polyrings.polyomino import Polyomino, is_rectangle, parse
+from polyrings.errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
+from polyrings.invariants import (
+    decompose,
+    distinguished_vertex,
+    h_vector_recursive,
+    multiplicity_recursive,
+)
+from polyrings.polyomino import Polyomino, is_rectangle, parse, stack_from_profile
 from polyrings.srcomplex import (
+    FlagComplex,
     _bits,
     _independent_counts,
     _max_independent_sets,
@@ -20,7 +29,7 @@ from polyrings.srcomplex import (
     transport_facet_inverse,
 )
 from polyrings.toric import VarOrder, variable_order
-from oracles import brute_f_vector, brute_maximal_independent_sets
+from oracles import brute_f_vector, brute_face_counts, brute_maximal_independent_sets
 from pool import complex_of, fx, stacks_upto
 
 FIGA_F = frozenset(
@@ -112,6 +121,96 @@ def test_fallback_on_intransitive_advisory_orders():
         assert [tuple(sorted(f)) for f in facets(c)] == (
             brute_maximal_independent_sets(c.vertices, c.forbidden)
         )
+
+
+def seeded_stacks(count, low, high, seed):
+    """count random stacks with low..high vertices, from a fixed seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        width = rng.randint(2, 12)
+        peak = rng.randrange(width)
+        top = rng.randint(1, 12)
+        left = sorted(rng.randint(1, top) for _ in range(peak))
+        right = sorted((rng.randint(1, top) for _ in range(width - peak - 1)), reverse=True)
+        p = stack_from_profile(left + [top] + right)
+        if low <= len(p.vertices) <= high and not is_rectangle(p):
+            out.append(p)
+    return out
+
+
+def test_chain_facets_on_seeded_large_stacks():
+    for p in seeded_stacks(12, 30, 60, "chain facets"):
+        c = complex_of(p)
+        assert _rank_poset(c) is not None
+        fs = facets(c, max_vertices=60)
+        keys = [tuple(sorted(c._index[v] for v in f)) for f in fs]
+        assert len(set(fs)) == len(fs)
+        assert all(len(f) == c.d for f in fs)
+        assert keys == sorted(keys)
+        assert not any(pair <= f for f in fs for pair in c.forbidden)
+        assert len(fs) == f_vector(c, max_vertices=60)[-1] == multiplicity_recursive(p)
+
+
+def hand_built(ranked, forbidden, d):
+    return FlagComplex(
+        poly=parse("#"),
+        order=VarOrder(ranked),
+        vertices=tuple(sorted(ranked)),
+        forbidden=frozenset(frozenset(pair) for pair in forbidden),
+        d=d,
+    )
+
+
+def test_impure_complexes_raise_not_pure_on_both_paths():
+    a, b, x, y = (1, 1), (1, 2), (2, 1), (2, 2)
+    # chain path: the chains {a, b} and {x}
+    chain = hand_built([a, b, x], [(a, x), (b, x)], 2)
+    # fallback: b, y, a top down with the forbidden pair (a, b) has y
+    # compatible with both, and x is forbidden with every vertex
+    fallback = hand_built([b, y, a, x], [(a, b), (x, b), (x, y), (x, a)], 2)
+    assert _rank_poset(chain) is not None and _rank_poset(fallback) is None
+    for c in (chain, fallback):
+        with pytest.raises(NotPure) as err:
+            facets(c)
+        assert str(err.value) == "facet of size 1, expected d = 2: [(2, 1)]"
+        assert c._facets is None
+
+
+def h_of(counts, dim):
+    """h-polynomial of face counts (f_-1, f_0, ...) in dimension dim,
+    trailing zeros cut."""
+    h = [0] * (dim + 1)
+    for i, fi in enumerate(counts):
+        for k in range(dim - i + 1):
+            h[i + k] += fi * comb(dim - i, k) * (-1) ** k
+    while h[-1] == 0:
+        h.pop()
+    return tuple(h)
+
+
+def test_face_level_split_at_the_distinguished_vertex():
+    # f_Delta = f_del + t f_lk, and the two parts carry the h-polynomials
+    # of the recursion's P1 and P2
+    checked = 0
+    for p in stacks_upto(8):
+        if is_rectangle(p):
+            continue
+        dec = decompose(p)
+        c = complex_of(p)
+        f_all = brute_face_counts(facets(c))
+        f_del = brute_face_counts(deletion_facets(c, dec.v))
+        f_lk = brute_face_counts(link_facets(c, dec.v))
+        split = [0] * (c.d + 1)
+        for k, count in enumerate(f_del):
+            split[k] += count
+        for k, count in enumerate(f_lk):
+            split[k + 1] += count
+        assert f_all == tuple(split), sorted(p.cells)
+        assert h_of(f_lk, c.d - 1) == h_vector_recursive(dec.p2)
+        assert h_of(f_del, c.d) == h_vector_recursive(dec.p1)
+        checked += 1
+    assert checked == 163
 
 
 def test_f_vector_shape():
