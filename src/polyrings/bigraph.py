@@ -161,10 +161,9 @@ def neighbors_x(g: BipartiteGraph, u: SideSubset) -> SideSubset:
 
 
 def _contiguous(bits: int) -> bool:
-    if bits == 0:
-        return True
-    shifted = bits >> (bits & -bits).bit_length() - 1
-    return shifted & (shifted + 1) == 0
+    """The set bits form one run (or none): adding the lowest set bit
+    carries through the first run and clears it."""
+    return bits & (bits + (bits & -bits)) == 0
 
 
 def _neighbor_interval(bits: int, adj, step) -> bool:

@@ -54,7 +54,8 @@ def _load(args) -> Polyomino:
     if args.path == "-":
         return parse(sys.stdin.read())
     try:
-        text = open(args.path, encoding="utf-8").read()
+        with open(args.path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise PolyominoError(f"cannot read {args.path}: {exc}") from exc
     return parse(text)

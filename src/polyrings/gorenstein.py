@@ -15,8 +15,14 @@ end where some column's levels end: at most m^2 of them, and at most m
 for a stack, whose columns all start at level 1. Each I gives its one
 candidate T, kept when N_Y(T) = I (so T is nonempty) and the step and
 horizontal-interval checks pass; the pull-back equality then holds by
-the choice of T. With O(m + n) bit-set work per interval the scan costs
-O(m^2 (m + n)) word operations, and the Hall gate one maximum matching.
+the choice of T. X \\ T is the union of the columns with a level below
+I and those with a level above it, each set built once per end of I by
+accumulation. Past the filter that makes X \\ T an interval, T is a
+prefix and a suffix of the columns and Y \\ I a prefix and a suffix of
+the levels, so every OR the checks need joins a prefix OR to a suffix
+OR, built once per table. The scan thus costs a constant number of
+bit-set operations per interval, O(m^2 (m + n) / w) word operations for
+w-bit words, and the Hall gate one maximum matching.
 
 For stacks two shortcuts exist: the level-set test (m = n and every
 admissible column set T has |N_Y(T)| = |T| + 1) and the inside-corner
@@ -26,14 +32,15 @@ square box).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .bigraph import (
     BipartiteGraph,
     SideSubset,
     _contiguous,
-    _neighbor_interval,
-    _or_rows,
     build_graph,
     hall_violator,
     is_neighbor_horizontal_interval,
@@ -102,6 +109,16 @@ def _hall_verdict(g: BipartiteGraph, method: str) -> GorensteinVerdict | None:
     return None
 
 
+def _prefix_suffix_or(table) -> tuple[list[int], list[int]]:
+    """pre[i] = OR of table[1..i] and suf[i] = OR of table[i+1..], for a
+    table indexed from 1 like the graph's adjacency and step masks."""
+    rows = table[1:]
+    pre = list(accumulate(rows, or_, initial=0))
+    suf = list(accumulate(reversed(rows), or_, initial=0))
+    suf.reverse()
+    return pre, suf
+
+
 def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     """Interval-scan test for convex polyominoes.
 
@@ -118,31 +135,58 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     m, n = g.m, g.n
     full_x = (1 << m) - 1
     full_y = (1 << n) - 1
-    cols = g.adj_x[1:]
-    # the columns with no level below `low`, and with none at `top` or above
-    above = {
-        low: sum(1 << x for x, a in enumerate(cols) if not a & (low - 1))
-        for low in {a & -a for a in cols}
-    }
-    below = {
-        top: sum(1 << x for x, a in enumerate(cols) if a < top)
-        for top in {1 << a.bit_length() for a in cols}
-    }
+    # out_low[low]: the columns with a level below `low`; out_top[top]:
+    # the columns with a level at `top` or above; X \ T is their union
+    starts: dict[int, int] = {}
+    ends: dict[int, int] = {}
+    for x, a in enumerate(g.adj_x[1:]):
+        low, top = a & -a, 1 << a.bit_length()
+        starts[low] = starts.get(low, 0) | 1 << x
+        ends[top] = ends.get(top, 0) | 1 << x
+    out_low: dict[int, int] = {}
+    acc = 0
+    for low in sorted(starts):
+        out_low[low] = acc
+        acc |= starts[low]
+    tops = sorted(ends)
+    out_top: dict[int, int] = {}
+    acc = 0
+    for top in reversed(tops):
+        out_top[top] = acc
+        acc |= ends[top]
+    # past the contiguity filter X \ T is an interval of columns and
+    # Y \ I the levels below and above the interval I, so each OR over
+    # T or Y \ I joins a prefix OR to a suffix OR of the table
+    pre_adj_x, suf_adj_x = _prefix_suffix_or(g.adj_x)
+    pre_vstep, suf_vstep = _prefix_suffix_or(g.vstep)
+    pre_adj_y, suf_adj_y = _prefix_suffix_or(g.adj_y)
+    pre_hstep, suf_hstep = _prefix_suffix_or(g.hstep)
     admissible = []
-    for low, t_low in above.items():
-        for top, t_top in below.items():
-            ival = top - low
-            t = t_low & t_top
-            # X \ T = N_X(Y \ I) must be an interval: a cheap first filter
-            if ival <= 0 or ival == full_y or not _contiguous(full_x & ~t):
+    for low, rest_low in out_low.items():
+        lo = low.bit_length() - 1
+        for top in tops[bisect_right(tops, low) :]:
+            rest = rest_low | out_top[top]
+            # X \ T = N_X(Y \ I) must be an interval: a cheap first filter;
+            # T = X is out too, since N_Y(X) = Y != I
+            if not rest or not _contiguous(rest):
                 continue
-            u = full_y & ~ival
+            ival = top - low
+            x_lo, x_hi = (rest & -rest).bit_length() - 1, rest.bit_length()
+            # N_Y(T) = I, and every step of I witnessed inside T
             if (
-                _or_rows(t, g.adj_x) == ival
-                and _neighbor_interval(t, g.adj_x, g.vstep)
-                and _neighbor_interval(u, g.adj_y, g.hstep)
+                ival == full_y
+                or pre_adj_x[x_lo] | suf_adj_x[x_hi] != ival
+                or (ival & ival >> 1) & ~(pre_vstep[x_lo] | suf_vstep[x_hi])
             ):
-                admissible.append((t, ival))
+                continue
+            # N_X(Y \ I) an interval, every step witnessed inside Y \ I
+            hi = top.bit_length() - 1
+            nbits = pre_adj_y[lo] | suf_adj_y[hi]
+            if not _contiguous(nbits) or (nbits & nbits >> 1) & ~(
+                pre_hstep[lo] | suf_hstep[hi]
+            ):
+                continue
+            admissible.append((full_x ^ rest, ival))
     admissible.sort()
     certs = []
     for t, nbits in admissible:

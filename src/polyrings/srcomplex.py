@@ -15,9 +15,16 @@ and facets lists the maximal chains by a DP over the cover relations,
 from the top of the ranking down, at a cost that follows the number of
 facets. The transitivity is checked at runtime, once per complex; it
 held on every stack tried (all stacks with at most 10 cells) and fails
-on most non-stack convex shapes. When it fails, f_vector falls back to a
-memoised independent-set count and facets to Bron-Kerbosch. Both paths
-keep the purity checks and the max_vertices guards.
+on most non-stack convex shapes. When it fails, f_vector falls back to
+counting independent sets of the forbidden-pair graph by a memoised DP
+on packed polynomials: isolated vertices give a (1 + t)^k row, a
+disconnected vertex set the product of its components, and a connected
+one branches on its busiest vertex. facets falls back to Bron-Kerbosch.
+Both paths keep the purity checks and the max_vertices guards.
+
+Both f_vector paths keep a polynomial in one int with nv + 1 bits per
+coefficient (nv vertices); no face count reaches 2^nv, so no
+coefficient spills into the next.
 
 Both facet searches produce int masks with vertex k at bit nv-1-k, so
 one descending sort of the masks puts the facets in the order of their
@@ -30,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
-from math import comb
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from .polyomino import Polyomino, heights
@@ -172,11 +178,17 @@ def _chain_counts(rank: tuple, up: tuple) -> tuple[int, ...]:
             acc += poly[u]
         poly[v] = acc << width
         total += poly[v]
+    return _unpack(total, width)
+
+
+def _unpack(packed: int, width: int) -> tuple[int, ...]:
+    """The coefficients of a polynomial packed width bits apiece, lowest
+    degree first, up to the highest nonzero one."""
     counts = []
     digit = (1 << width) - 1
-    while total:
-        counts.append(total & digit)
-        total >>= width
+    while packed:
+        counts.append(packed & digit)
+        packed >>= width
     return tuple(counts)
 
 
@@ -261,38 +273,61 @@ def facets(c: FlagComplex, max_vertices: int = 40) -> tuple[Facet, ...]:
 
 
 def _independent_counts(adj: tuple, mask: int, memo: dict) -> tuple[int, ...]:
-    """Coefficient k = number of independent sets of size k inside mask."""
-    if mask == 0:
-        return (1,)
-    got = memo.get(mask)
-    if got is not None:
-        return got
-    # find a vertex with conflicts inside mask; branch on the busiest one
-    pivot = -1
-    best = 0
-    probe = mask
-    while probe:
-        v = (probe & -probe).bit_length() - 1
-        probe &= probe - 1
-        deg = (adj[v] & mask).bit_count()
-        if deg > best:
-            best = deg
-            pivot = v
-    if pivot < 0:
-        k = mask.bit_count()
-        result = tuple(comb(k, i) for i in range(k + 1))
-    else:
-        without = _independent_counts(adj, mask & ~(1 << pivot), memo)
-        with_v = _independent_counts(adj, mask & ~(adj[pivot] | 1 << pivot), memo)
-        size = max(len(without), len(with_v) + 1)
-        acc = [0] * size
-        for i, val in enumerate(without):
-            acc[i] += val
-        for i, val in enumerate(with_v):
-            acc[i + 1] += val
-        result = tuple(acc)
-    memo[mask] = result
-    return result
+    """Coefficient k = number of independent sets of size k inside mask.
+
+    A DP on packed polynomials, as in _chain_counts: memo maps a mask to
+    its independence polynomial, one int with len(adj) + 1 bits per
+    coefficient (the empty mask to 1). Isolated vertices contribute (1 + t) each, read off a
+    precomputed row; a disconnected remainder is the product of its
+    components; a connected one branches on its busiest vertex v as
+    I(mask - v) + t I(mask - N[v]).
+    """
+    width = len(adj) + 1
+    one_plus_t = 1 + (1 << width)
+    edgeless = [1]
+    for _ in adj:
+        edgeless.append(edgeless[-1] * one_plus_t)
+    memo[0] = 1
+
+    def count(mask: int) -> int:
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        isolated = 0
+        pivot = -1
+        best = 0
+        probe = mask
+        while probe:
+            low = probe & -probe
+            probe ^= low
+            v = low.bit_length() - 1
+            deg = (adj[v] & mask).bit_count()
+            if deg == 0:
+                isolated |= low
+            elif deg > best:
+                best = deg
+                pivot = v
+        if isolated:
+            result = edgeless[isolated.bit_count()] * count(mask ^ isolated)
+        else:
+            # the component of the lowest vertex
+            comp = frontier = mask & -mask
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grown = adj[low.bit_length() - 1] & mask & ~comp
+                comp |= grown
+                frontier |= grown
+            if comp != mask:
+                result = count(comp) * count(mask ^ comp)
+            else:
+                result = count(mask & ~(1 << pivot)) + (
+                    count(mask & ~(adj[pivot] | 1 << pivot)) << width
+                )
+        memo[mask] = result
+        return result
+
+    return _unpack(count(mask), width)
 
 
 def f_vector(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]:
@@ -318,13 +353,16 @@ def f_vector(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]:
 
 def hilbert_numerator(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]:
     """Coefficients of Q(t) = sum f_(i-1) t^i (1-t)^(d-i), trailing zeros cut.
-    max_vertices is the f-vector guard."""
+    max_vertices is the f-vector guard.
+
+    A difference table: with Q_0 = f_-1 and Q_i = (1 - t) Q_(i-1) +
+    f_(i-1) t^i, Q is Q_d (f_vector has exactly d + 1 entries), and each
+    step subtracts neighbouring coefficients.
+    """
     fv = f_vector(c, max_vertices)
-    d = c.d
-    q = [0] * (d + 1)
-    for i, fi in enumerate(fv):
-        for k in range(d - i + 1):
-            q[i + k] += fi * comb(d - i, k) * (-1) ** k
+    q = [fv[0]]
+    for fi in fv[1:]:
+        q = [a - b for a, b in zip(q + [fi], [0] + q)]
     while q and q[-1] == 0:
         q.pop()
     if not q or q[0] != 1 or sum(q) != fv[-1]:

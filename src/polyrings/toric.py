@@ -27,12 +27,14 @@ Each layer costs about one operation per minor or per S-pair it reports:
 - Groebner check. Buchberger's criterion, with S-pairs of coprime
   leading terms skipped. Generators are indexed by the variables of
   their leading terms, so only pairs that share a variable are visited,
-  each once. Both sides of an S-pair are degree-3 monomials; each is
-  reduced by looking up its three variable pairs in a leading-term to
-  trailing-term table until none matches. Which matching generator
-  rewrites first does not change the verdict: under a Groebner basis
-  normal forms are unique, and if every S-pair reaches a common normal
-  form the basis property follows.
+  each once. The check runs on rank positions, the ints of
+  VarOrder._pos, not on (column, level) tuples. Both sides of an S-pair
+  are degree-3 monomials, held as three ascending ints; each is reduced
+  by looking up its three variable pairs, keyed as one int each, in a
+  leading-term to trailing-term table until none matches. Which matching
+  generator rewrites first does not change the verdict: under a
+  Groebner basis normal forms are unique, and if every S-pair reaches a
+  common normal form the basis property follows.
 
 An order must rank exactly the vertices of P; initial_ideal and
 verify_groebner raise BadParameters otherwise.
@@ -250,7 +252,7 @@ def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     any advisory order is first run through the Groebner check.
     """
     order, minors, terms = _minor_terms(p, order)
-    if order.advisory and not _is_groebner(terms):
+    if order.advisory and not _is_groebner(terms, order._pos):
         raise GroebnerUnverified(
             "inner minors are not a Groebner basis for the given order"
         )
@@ -267,47 +269,63 @@ def verify_groebner(p: Polyomino, order: VarOrder | None = None) -> bool:
     binomial of degree three, and both sides are reduced monomial-wise
     to normal form. Sound and complete for the yes/no verdict.
     """
-    return _is_groebner(_minor_terms(p, order)[2])
+    order, _, terms = _minor_terms(p, order)
+    return _is_groebner(terms, order._pos)
 
 
-def _is_groebner(terms: list[tuple[Monomial, Monomial]]) -> bool:
-    """Buchberger's criterion on (lead, trail) pairs of sorted variable
-    pairs, visiting only the S-pairs whose leads share a variable.
+def _is_groebner(terms: list[tuple[Monomial, Monomial]], pos: dict[Variable, int]) -> bool:
+    """Buchberger's criterion on (lead, trail) pairs, visiting only the
+    S-pairs whose leads share a variable.
 
-    Two distinct leads share at most one variable, so each such pair is
+    The check runs on rank positions: each variable becomes its int in
+    pos, a monomial the ascending ints of its variables, and the rewrite
+    table maps a lead u < w, keyed u * len(pos) + w, to its trail. Two
+    distinct leads share at most one variable, so each such pair is
     visited once, under that variable. For leads v*a and v*b the sides
     of the S-pair are b*trail_a and a*trail_b.
     """
-    rewrite = dict(terms)
-    by_var: dict[Variable, list[tuple[Variable, Monomial]]] = {}
-    for lead, trail in terms:
-        u, w = lead
-        by_var.setdefault(u, []).append((w, trail))
-        by_var.setdefault(w, []).append((u, trail))
+    n = len(pos)
+    rewrite: dict[int, tuple[int, int]] = {}
+    by_var: dict[int, list[tuple[int, int, int]]] = {}
+    for (u, w), (s, t) in terms:
+        u, w, s, t = pos[u], pos[w], pos[s], pos[t]
+        if u > w:
+            u, w = w, u
+        if s > t:
+            s, t = t, s
+        rewrite[u * n + w] = (s, t)
+        by_var.setdefault(u, []).append((w, s, t))
+        by_var.setdefault(w, []).append((u, s, t))
+    get = rewrite.get
+
+    def normal_form(x: int, s: int, t: int) -> tuple[int, int, int]:
+        """Normal form of the monomial x*s*t (s <= t) under the rewrites;
+        every rewrite lowers the monomial in the term order, so the loop
+        ends."""
+        while True:
+            if x < s:
+                a, b, c = x, s, t
+            elif x < t:
+                a, b, c = s, x, t
+            else:
+                a, b, c = s, t, x
+            trail = get(a * n + b)
+            if trail is not None:
+                x = c
+            else:
+                trail = get(a * n + c)
+                if trail is not None:
+                    x = b
+                else:
+                    trail = get(b * n + c)
+                    if trail is None:
+                        return a, b, c
+                    x = a
+            s, t = trail
+
     for gens in by_var.values():
-        for a, (oa, ta) in enumerate(gens):
-            for ob, tb in gens[a + 1 :]:
-                if _normal_form(ob, ta, rewrite) != _normal_form(oa, tb, rewrite):
+        for k, (oa, sa, ta) in enumerate(gens):
+            for ob, sb, tb in gens[k + 1 :]:
+                if normal_form(ob, sa, ta) != normal_form(oa, sb, tb):
                     return False
     return True
-
-
-def _normal_form(x: Variable, pair: Monomial, rewrite: dict) -> Monomial:
-    """Normal form of the degree-3 monomial x * pair under the
-    lead -> trail rewrites; every rewrite lowers the monomial in the
-    term order, so the loop ends."""
-    a, b, c = sorted((x, *pair))
-    while True:
-        t = rewrite.get((a, b))
-        if t is not None:
-            a, b, c = sorted((c, *t))
-            continue
-        t = rewrite.get((a, c))
-        if t is not None:
-            a, b, c = sorted((b, *t))
-            continue
-        t = rewrite.get((b, c))
-        if t is not None:
-            a, b, c = sorted((a, *t))
-            continue
-        return a, b, c

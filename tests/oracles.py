@@ -179,12 +179,14 @@ def recursive_kuhn_matching(p):
 
 def brute_independent_sets(vertices, forbidden):
     """All independent sets of the forbidden-pair graph, as frozensets."""
-    verts = list(vertices)
-    bad = {frozenset(pair) for pair in forbidden}
+    clash: dict = {}
+    for a, b in forbidden:
+        clash.setdefault(a, set()).add(b)
+        clash.setdefault(b, set()).add(a)
     out = [frozenset()]
-    for v in verts:
-        out += [s | {v} for s in out
-                if not any(frozenset((v, w)) in bad for w in s)]
+    for v in vertices:
+        others = clash.get(v, ())
+        out += [s | {v} for s in out if s.isdisjoint(others)]
     return out
 
 

@@ -1,5 +1,6 @@
 """Shared cached enumerations so the heavy sweeps run once per session."""
 
+import random
 from functools import lru_cache
 
 from polyrings import (
@@ -10,6 +11,7 @@ from polyrings import (
     is_convex,
     stack_polyominoes,
 )
+from polyrings.toric import VarOrder
 
 
 @lru_cache(maxsize=None)
@@ -40,6 +42,16 @@ def complex_of(p):
 @lru_cache(maxsize=None)
 def report_of(p):
     return full_report(p)
+
+
+def shuffled_orders(p, count=2):
+    """count seeded random rankings of p's vertices, advisory."""
+    out = []
+    for seed in range(count):
+        ranked = sorted(p.vertices)
+        random.Random(f"{sorted(p.cells)}:{seed}").shuffle(ranked)
+        out.append(VarOrder(ranked, advisory=True))
+    return out
 
 
 CONVEX_FIXTURES = (

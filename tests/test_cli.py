@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from polyrings import invariants
 from polyrings.cli import main
@@ -290,3 +294,17 @@ def test_oracle_passes_wherever_the_command_applies(capsys):
             rc = main([cmd, path(name), "--oracle"])
             capsys.readouterr()
             assert rc == expected_nonzero.get((cmd, name), 0), (cmd, name, rc)
+
+
+def test_reading_a_grid_file_leaves_no_resource_warning():
+    # a child interpreter in development mode, where an unclosed file
+    # reports a ResourceWarning on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "polyrings.cli", "check", path("single_cell")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -185,3 +185,16 @@ def test_input_guards():
     assert not v.gorenstein and v.violation.kind == "hall"
     assert (v.violation.subset.side, len(v.violation.subset)) == ("X", 27)
     assert (v.violation.observed, v.violation.required) == (2, 27)
+
+
+def test_wide_staircase_band_verdict():
+    # cells (i, i) and (i + 1, i), m = n = 1501: the scan meets 1127247
+    # level intervals, and the Hall gate passes
+    k = 1500
+    band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
+    v = is_gorenstein_convex(band)
+    assert not v.gorenstein
+    assert len(v.certificates) == 1499
+    assert v.violation.kind == "cardinality"
+    assert str(v.violation.subset) == "{x1501}"
+    assert (v.violation.observed, v.violation.required) == (3, 2)

@@ -28,9 +28,14 @@ from polyrings.srcomplex import (
     transport_facet,
     transport_facet_inverse,
 )
-from polyrings.toric import VarOrder, variable_order
-from oracles import brute_f_vector, brute_face_counts, brute_maximal_independent_sets
-from pool import complex_of, fx, stacks_upto
+from polyrings.toric import VarOrder, variable_order, verify_groebner
+from oracles import (
+    brute_f_vector,
+    brute_face_counts,
+    brute_independent_sets,
+    brute_maximal_independent_sets,
+)
+from pool import complex_of, convex_upto, fx, shuffled_orders, stacks_upto
 
 FIGA_F = frozenset(
     {(1, 3), (1, 4), (2, 4), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)}
@@ -121,6 +126,49 @@ def test_fallback_on_intransitive_advisory_orders():
         assert [tuple(sorted(f)) for f in facets(c)] == (
             brute_maximal_independent_sets(c.vertices, c.forbidden)
         )
+
+
+def test_fallback_counts_every_intransitive_small_convex_complex():
+    # the advisory order and the shuffled orders that pass the Groebner
+    # check, on every convex shape with at most 7 cells
+    fallback = 0
+    for p in convex_upto(7):
+        for o in [variable_order(p), *shuffled_orders(p)]:
+            if not verify_groebner(p, o):
+                continue
+            c = build_complex(p, o)
+            if _rank_poset(c) is None:
+                fallback += 1
+                assert f_vector(c) == brute_f_vector(c.vertices, c.forbidden, c.d), (p, o)
+    assert fallback > 500
+
+
+def brute_counts(c, mask):
+    """Independent sets inside mask, counted by size, by enumeration."""
+    inside = [v for k, v in enumerate(c.vertices) if mask >> k & 1]
+    sizes = [len(s) for s in brute_independent_sets(inside, c.forbidden)]
+    return tuple(sizes.count(k) for k in range(max(sizes) + 1))
+
+
+def test_independent_counts_multiply_over_components():
+    # a triangle, a path on three vertices, an edge and two isolated
+    # vertices; vertex k is (k, 1)
+    v = [(k, 1) for k in range(10)]
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7)]
+    c = hand_built(v, [(v[a], v[b]) for a, b in edges], 4)
+    full = (1 << 10) - 1
+    # (1 + 3t) (1 + 3t + t^2) (1 + 2t) (1 + t)^2
+    assert _independent_counts(c._adj, full, {}) == (1, 10, 39, 75, 74, 35, 6)
+    for mask in (full, 0, 1 << 8, full & ~(1 << 4), 0b1111001110, 0b0011111000):
+        assert _independent_counts(c._adj, mask, {}) == brute_counts(c, mask), bin(mask)
+
+
+def test_independent_counts_fit_the_packing_width():
+    # 24 vertices and no edge: every coefficient C(24, k), the largest
+    # C(24, 12) = 2704156, stays inside its 25 bits
+    assert _independent_counts((0,) * 24, (1 << 24) - 1, {}) == tuple(
+        comb(24, k) for k in range(25)
+    )
 
 
 def seeded_stacks(count, low, high, seed):

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from polyrings.errors import BadParameters, ConsistencyError, GroebnerUnverified
@@ -23,7 +21,7 @@ from oracles import (
     brute_verify_groebner,
     generic_revlex_less,
 )
-from pool import CONVEX_FIXTURES, convex_upto, fixed_upto, fx, stacks_upto
+from pool import CONVEX_FIXTURES, convex_upto, fixed_upto, fx, shuffled_orders, stacks_upto
 
 # the orders the worked examples print for these two non-stack shapes
 EX6_PRINTED = [
@@ -231,16 +229,6 @@ def test_facet_count_is_order_independent_on_ex6():
     printed = VarOrder(EX6_PRINTED, advisory=True)
     assert initial_ideal(p, printed).generators != initial_ideal(p).generators
     assert facet_count(p, printed) == facet_count(p) == 21
-
-
-def shuffled_orders(p, count=2):
-    """count seeded random rankings of p's vertices, advisory."""
-    out = []
-    for seed in range(count):
-        ranked = sorted(p.vertices)
-        random.Random(f"{sorted(p.cells)}:{seed}").shuffle(ranked)
-        out.append(VarOrder(ranked, advisory=True))
-    return out
 
 
 def test_minors_match_brute_intervals_on_every_small_polyomino():
