@@ -389,10 +389,15 @@ def column_cuts(g: BipartiteGraph) -> list[DirectedCut]:
     ]
 
 
-def all_directed_cuts(g: BipartiteGraph, limit: int = 14) -> list[DirectedCut]:
+# The cut sweep visits all 2^(m+n) mixed subsets; past this m + n it
+# raises TooLarge.
+MAX_CUT_NODES = 14
+
+
+def all_directed_cuts(g: BipartiteGraph) -> list[DirectedCut]:
     """Every directed cut, deduplicated by arrow set, sources in bit order."""
-    if g.m + g.n > limit:
-        raise TooLarge(f"m+n = {g.m + g.n} exceeds the cut sweep limit {limit}")
+    if g.m + g.n > MAX_CUT_NODES:
+        raise TooLarge(f"m+n = {g.m + g.n} exceeds the cut sweep limit {MAX_CUT_NODES}")
     out: dict[int, MixedSubset] = {}
     total = g.m + g.n
     row_edge_or = [0] * (1 << g.n)
@@ -424,13 +429,10 @@ def all_directed_cuts(g: BipartiteGraph, limit: int = 14) -> list[DirectedCut]:
     ]
 
 
-def max_disjoint_directed_cuts(
-    g: BipartiteGraph, limit: int = 14
-) -> tuple[int, tuple[DirectedCut, ...]]:
-    """Size and witness of a maximum family of pairwise disjoint directed cuts."""
-    if g.m + g.n > limit:
-        raise TooLarge(f"m+n = {g.m + g.n} exceeds the cut sweep limit {limit}")
-    cuts = all_directed_cuts(g, limit)
+def max_disjoint_directed_cuts(g: BipartiteGraph) -> tuple[int, tuple[DirectedCut, ...]]:
+    """Size and witness of a maximum family of pairwise disjoint directed
+    cuts; TooLarge past MAX_CUT_NODES, from all_directed_cuts."""
+    cuts = all_directed_cuts(g)
     masks = []
     for cut in cuts:
         mask = 0

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .bigraph import MAX_CUT_NODES, build_graph, max_disjoint_directed_cuts
 from .errors import (
     ConsistencyError,
     DecompositionFailed,
@@ -17,7 +18,6 @@ from .errors import (
     NotAFacet,
     NotPure,
     PolyominoError,
-    TooLarge,
 )
 from .gorenstein import (
     is_gorenstein_convex,
@@ -38,7 +38,7 @@ from .polyomino import (
     parse,
     serialize,
 )
-from .srcomplex import build_complex, facets, hilbert_numerator, invariants_from_complex
+from .srcomplex import MAX_VERTICES, build_complex, facets, hilbert_numerator
 from .toric import inner_minors, leading_term, mono_str, var_str, variable_order, verify_groebner
 
 
@@ -107,9 +107,8 @@ def cmd_gorenstein(p: Polyomino, args) -> int:
                 f"checker disagreement: convex={verdict.gorenstein} "
                 f"level-sets={sub.gorenstein} corners={cor}"
             )
-        if len(p.vertices) <= 24:
-            ci = invariants_from_complex(build_complex(p))
-            h = ci.h_vector
+        if len(p.vertices) <= args.max_facet_vertices:
+            h = hilbert_numerator(build_complex(p), args.max_facet_vertices)
             if (h == h[::-1]) != verdict.gorenstein:
                 raise ConsistencyError(
                     f"h-vector {h} palindromicity contradicts verdict {verdict.gorenstein}"
@@ -151,7 +150,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
         raise PolyominoError(
             "oracle cross-check impossible: vertex count exceeds --max-facet-vertices"
         )
-    rep = full_report(p, max_facet_vertices=args.max_facet_vertices)
+    rep = full_report(p)
     if args.oracle and is_stack(p):
         from .polyomino import transpose
 
@@ -160,8 +159,8 @@ def cmd_invariants(p: Polyomino, args) -> int:
             flipped = multiplicity_recursive(q)
         else:
             try:
-                flipped = invariants_from_complex(build_complex(q)).multiplicity
-            except (GroebnerUnverified, TooLarge):
+                flipped = sum(hilbert_numerator(build_complex(q), args.max_facet_vertices))
+            except GroebnerUnverified:
                 flipped = None
         if flipped is not None and flipped != rep.multiplicity:
             raise ConsistencyError(
@@ -172,9 +171,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
         h = hilbert_numerator(build_complex(p), args.max_facet_vertices)
         if h != rep.h_vector:
             raise ConsistencyError(f"recursion h-vector {rep.h_vector} vs complex {h}")
-        if p.m + p.n <= 14:
-            from .bigraph import build_graph, max_disjoint_directed_cuts
-
+        if p.m + p.n <= MAX_CUT_NODES:
             cuts, _ = max_disjoint_directed_cuts(build_graph(p))
             if cuts != -rep.a_invariant:
                 raise ConsistencyError(
@@ -321,7 +318,7 @@ def _parser() -> argparse.ArgumentParser:
             action="store_true",
             help="run brute-force cross-checks, fail on disagreement",
         )
-        sp.add_argument("--max-facet-vertices", type=int, default=40)
+        sp.add_argument("--max-facet-vertices", type=int, default=MAX_VERTICES)
         sp.set_defaults(func=fn)
     return top
 

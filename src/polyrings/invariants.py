@@ -72,7 +72,7 @@ from .polyomino import (
     is_stack,
     stack_from_profile,
 )
-from .srcomplex import build_complex, invariants_from_complex
+from .srcomplex import MAX_VERTICES, build_complex, invariants_from_complex
 from .toric import VarOrder, _check_ranks
 
 
@@ -297,7 +297,7 @@ def ladder_polyomino(m: int, n: int, ks) -> Polyomino:
     return p
 
 
-def _ladder_value(m: int, n: int, ks: tuple[int, ...]) -> int:
+def _ladder_value(m: int, n: int, ks: tuple[int, ...], memo: dict) -> int:
     while ks and ks[0] == n:
         ks = ks[1:]
     while ks and ks[-1] == 1:
@@ -305,18 +305,22 @@ def _ladder_value(m: int, n: int, ks: tuple[int, ...]) -> int:
         m -= 1
     if not ks:
         return multiplicity_rectangle(m, n)
-    last = ks[-1]
-    return sum(
-        _ladder_value(m - 1, n - j, tuple(k - j for k in ks[:-1]))
-        for j in range(last)
-    )
+    key = (m, n, ks)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = sum(
+            _ladder_value(m - 1, n - j, tuple(k - j for k in ks[:-1]), memo)
+            for j in range(ks[-1])
+        )
+    return got
 
 
 def multiplicity_ladder(m: int, n: int, ks) -> int:
     """e of the ladder by its own one-step recursion (peeling the last
-    step column), independent of the generic deletion recursion."""
+    step column), independent of the generic deletion recursion; the
+    shared subproblems are memoised for the length of the call."""
     ladder_polyomino(m, n, ks)
-    return _ladder_value(m, n, tuple(int(k) for k in ks))
+    return _ladder_value(m, n, tuple(int(k) for k in ks), {})
 
 
 @dataclass(eq=False)
@@ -347,18 +351,13 @@ class InvariantReport:
         }
 
 
-def full_report(
-    p: Polyomino,
-    order: VarOrder | None = None,
-    max_fvector_vertices: int = 24,
-    max_facet_vertices: int = 40,
-) -> InvariantReport:
+def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     """Every invariant this package can certify for p, with method tags.
 
     A stack takes its h-vector, regularity deg h, a-invariant deg h - d
     and multiplicity h(1) from the h-polynomial recursion, all tagged
-    "recursion", at any size: no complex is built and the size guards
-    do not apply. Two independent checks certify the recursion at
+    "recursion", at any size: no complex is built and the complex guard
+    does not apply. Two independent checks certify the recursion at
     runtime: deg h must equal the exact closed-form regularity, and h
     must be palindromic exactly when the interval criterion calls K[P]
     Gorenstein. Either split raises ConsistencyError. The bounding-box
@@ -366,10 +365,10 @@ def full_report(
     three cells with a two-cell tower); such a gap is reported in
     notes, never raised.
 
-    Non-stack convex shapes get complex-derived values ("complex") only
-    when a supplied order passes the Groebner check and the complex is
-    within max_facet_vertices (h, a and regularity also within
-    max_fvector_vertices). Every shape, at any size, gets the Gorenstein
+    Non-stack convex shapes get all four values from the complex
+    ("complex") only when a supplied order passes the Groebner check and
+    p has at most srcomplex.MAX_VERTICES vertices; otherwise all four are
+    "unavailable". Every shape, at any size, gets the Gorenstein
     verdict from the polynomial interval scan of the convex criterion
     (tagged "interval criterion"). A supplied order must rank exactly
     the vertices of p (BadParameters otherwise); a stack does not use it.
@@ -402,19 +401,15 @@ def full_report(
                 f"bounding-box bounds predict a={bound_a}, regularity={bound_reg}; "
                 f"the recursion gives a={a}, regularity={reg} (reported)"
             )
-    elif order is not None and len(p.vertices) <= max_facet_vertices:
+    elif order is not None and len(p.vertices) <= MAX_VERTICES:
         try:
-            c = build_complex(p, order)
+            ci = invariants_from_complex(build_complex(p, order))
         except GroebnerUnverified:
-            c = None
-        if c is not None:
-            ci = invariants_from_complex(c, max_fvector_vertices, max_facet_vertices)
-            mult = ci.multiplicity
-            methods["multiplicity"] = "complex"
-            if ci.regularity is not None:
-                a, reg, h = ci.a_invariant, ci.regularity, ci.h_vector
-                for name in ("a_invariant", "regularity", "h_vector"):
-                    methods[name] = "complex"
+            pass
+        else:
+            a, reg, mult, h = ci.a_invariant, ci.regularity, ci.multiplicity, ci.h_vector
+            for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):
+                methods[name] = "complex"
     gor = is_gorenstein_convex(p).gorenstein
     methods["gorenstein"] = "interval criterion"
     if stack and (h == h[::-1]) != gor:

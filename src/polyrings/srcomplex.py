@@ -20,7 +20,11 @@ counting independent sets of the forbidden-pair graph by a memoised DP
 on packed polynomials: isolated vertices give a (1 + t)^k row, a
 disconnected vertex set the product of its components, and a connected
 one branches on its busiest vertex. facets falls back to Bron-Kerbosch.
-Both paths keep the purity checks and the max_vertices guards.
+Both paths keep the purity checks.
+
+One size guard covers the complex: f_vector, hilbert_numerator and
+facets raise TooLarge past MAX_VERTICES vertices, on either path, unless
+a caller passes its own max_vertices.
 
 Both f_vector paths keep a polynomial in one int with nv + 1 bits per
 coefficient (nv vertices); no face count reaches 2^nv, so no
@@ -35,7 +39,6 @@ frozenset is built once, from its mask, by _members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import compress, repeat
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
@@ -43,6 +46,9 @@ from .polyomino import Polyomino, heights
 from .toric import Variable, VarOrder, initial_ideal
 
 Facet = frozenset[Variable]
+
+# the one size guard on the complex (see the module docstring)
+MAX_VERTICES = 40
 
 
 @dataclass(eq=False)
@@ -237,7 +243,7 @@ def _members(verts: tuple, masks: list[int]):
     return map(compress, repeat(verts), rows)
 
 
-def facets(c: FlagComplex, max_vertices: int = 40) -> tuple[Facet, ...]:
+def facets(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[Facet, ...]:
     """All facets, sorted by their vertex tuples; asserts purity (every
     facet has size d).
 
@@ -255,7 +261,7 @@ def facets(c: FlagComplex, max_vertices: int = 40) -> tuple[Facet, ...]:
         return c._facets
     nv = len(c.vertices)
     if nv > max_vertices:
-        raise TooLarge(f"{nv} vertices exceed the facet guard {max_vertices}")
+        raise TooLarge(f"{nv} vertices exceed the complex guard {max_vertices}")
     poset = _rank_poset(c)
     if poset is not None:
         masks = _chain_masks(*poset)
@@ -330,14 +336,14 @@ def _independent_counts(adj: tuple, mask: int, memo: dict) -> tuple[int, ...]:
     return _unpack(count(mask), width)
 
 
-def f_vector(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]:
+def f_vector(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_{d-1}): chains counted on the chain path,
     independent sets of the forbidden-pair graph otherwise."""
     if c._counts is not None:
         return c._counts
     nv = len(c.vertices)
     if nv > max_vertices:
-        raise TooLarge(f"{nv} vertices exceed the f-vector guard {max_vertices}")
+        raise TooLarge(f"{nv} vertices exceed the complex guard {max_vertices}")
     poset = _rank_poset(c)
     if poset is not None:
         counts = _chain_counts(*poset)
@@ -351,9 +357,9 @@ def f_vector(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]:
     return counts
 
 
-def hilbert_numerator(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]:
+def hilbert_numerator(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[int, ...]:
     """Coefficients of Q(t) = sum f_(i-1) t^i (1-t)^(d-i), trailing zeros cut.
-    max_vertices is the f-vector guard.
+    max_vertices is passed on to f_vector.
 
     A difference table: with Q_0 = f_-1 and Q_i = (1 - t) Q_(i-1) +
     f_(i-1) t^i, Q is Q_d (f_vector has exactly d + 1 entries), and each
@@ -373,25 +379,21 @@ def hilbert_numerator(c: FlagComplex, max_vertices: int = 24) -> tuple[int, ...]
 @dataclass(frozen=True)
 class ComplexInvariants:
     multiplicity: int
-    regularity: int | None
-    a_invariant: int | None
-    h_vector: tuple[int, ...] | None
+    regularity: int
+    a_invariant: int
+    h_vector: tuple[int, ...]
 
 
-def invariants_from_complex(
-    c: FlagComplex, max_fvector_vertices: int = 24, max_facet_vertices: int = 40
-) -> ComplexInvariants:
-    """Multiplicity always; regularity, a-invariant and h-vector when the
-    f-vector DP is within its size guard."""
-    if len(c.vertices) <= max_fvector_vertices:
-        q = hilbert_numerator(c, max_fvector_vertices)
-        deg = len(q) - 1
-        return ComplexInvariants(sum(q), deg, deg - c.d, q)
-    fs = facets(c, max_facet_vertices)
-    return ComplexInvariants(len(fs), None, None, None)
+def invariants_from_complex(c: FlagComplex) -> ComplexInvariants:
+    """Multiplicity Q(1), regularity deg Q, a-invariant deg Q - d and
+    h-vector Q, all from the Hilbert numerator Q; TooLarge past
+    MAX_VERTICES."""
+    q = hilbert_numerator(c)
+    deg = len(q) - 1
+    return ComplexInvariants(sum(q), deg, deg - c.d, q)
 
 
-def link_facets(c: FlagComplex, v: Variable, max_vertices: int = 40) -> tuple[Facet, ...]:
+def link_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
     """Facets of the complex that contain v, each with v removed.
 
     In a flag complex these are exactly the facets of lk(v), so together
@@ -402,12 +404,12 @@ def link_facets(c: FlagComplex, v: Variable, max_vertices: int = 40) -> tuple[Fa
         return got
     if v not in c._index:
         raise ValueError(f"{v} is not a vertex of the complex")
-    out = tuple(f - {v} for f in facets(c, max_vertices) if v in f)
+    out = tuple(f - {v} for f in facets(c) if v in f)
     c._links[("link", v)] = out
     return out
 
 
-def deletion_facets(c: FlagComplex, v: Variable, max_vertices: int = 40) -> tuple[Facet, ...]:
+def deletion_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
     """Facets of the complex that avoid v.
 
     The deletion subcomplex can have further maximal faces of smaller
@@ -419,7 +421,7 @@ def deletion_facets(c: FlagComplex, v: Variable, max_vertices: int = 40) -> tupl
         return got
     if v not in c._index:
         raise ValueError(f"{v} is not a vertex of the complex")
-    out = tuple(f for f in facets(c, max_vertices) if v not in f)
+    out = tuple(f for f in facets(c) if v not in f)
     c._links[("del", v)] = out
     return out
 
@@ -498,12 +500,6 @@ def transport_facet_inverse(f: frozenset, i: int, h: int, m: int) -> frozenset:
     return frozenset(cur)
 
 
-@lru_cache(maxsize=None)
-def complex_for(p: Polyomino) -> FlagComplex:
-    """Shared default-order complex per polyomino."""
-    return build_complex(p)
-
-
 def link_decompose(c: FlagComplex, v: Variable, f: frozenset) -> tuple[frozenset, frozenset]:
     """Split a link facet F of the distinguished vertex v = (i, height(i))
     into G1 u G2, where G2 collects the level-j vertices lost by the upper
@@ -537,6 +533,6 @@ def link_decompose(c: FlagComplex, v: Variable, f: frozenset) -> tuple[frozenset
     g1 = fv - g2
     p2 = Polyomino(upper)
     g1n = frozenset((a - (lo - 1), b - (j - 1)) for a, b in g1)
-    if g1n not in set(facets(complex_for(p2))):
+    if g1n not in set(facets(build_complex(p2))):
         raise DecompositionFailed("G1 does not renormalize to a facet of the upper part")
     return g1, g2

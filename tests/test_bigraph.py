@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from polyrings.bigraph import (
+    MAX_CUT_NODES,
     MixedSubset,
     all_directed_cuts,
     build_graph,
@@ -326,6 +327,8 @@ def test_max_cuts_can_beat_the_box_bound():
 
 
 def test_max_cuts_size_guard():
-    wide = Polyomino([(c, 1) for c in range(1, 14)])
-    with pytest.raises(TooLarge):
-        max_disjoint_directed_cuts(build_graph(wide))
+    wide = build_graph(Polyomino([(c, 1) for c in range(1, 14)]))
+    assert wide.m + wide.n == 16 > MAX_CUT_NODES == 14
+    for sweep in (all_directed_cuts, max_disjoint_directed_cuts):
+        with pytest.raises(TooLarge, match="exceeds the cut sweep limit 14"):
+            sweep(wide)

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from polyrings import invariants
+from polyrings import cli, fixtures, invariants
 from polyrings.cli import main
 from polyrings.errors import ConsistencyError
 from polyrings.fixtures import fixture_path, names
+from polyrings.polyomino import is_stack
 
 COMMANDS = ("check", "gorenstein", "invariants", "facets", "decompose", "groebner")
 
@@ -232,6 +233,43 @@ def test_invariants_oracle_catches_a_wrong_recursion(capsys, monkeypatch):
     assert (rc, err) == (0, "")
     rc, _, err = run(capsys, "invariants", path("fig13"), "--oracle")
     assert rc == 2 and "vs complex" in err
+
+
+def test_gorenstein_oracle_checks_stacks_up_to_the_guard(capsys, monkeypatch):
+    # fig11 has 25 vertices, inside the complex guard: the oracle reads
+    # the complex's h-vector, so an h whose palindromicity contradicts
+    # the verdict must exit 2
+    assert len(fixtures.load("fig11").vertices) == 25
+    rc, out, _ = run(capsys, "gorenstein", path("fig11"), "--oracle", "--json")
+    assert rc == 0
+    h = (1, 2) if json.loads(out)["gorenstein"] else (1, 1)
+    monkeypatch.setattr(cli, "hilbert_numerator", lambda *a, **k: h)
+    rc, _, err = run(capsys, "gorenstein", path("fig11"), "--oracle")
+    assert rc == 2 and "palindromicity contradicts" in err
+    # past --max-facet-vertices the complex is not consulted
+    rc, _, err = run(
+        capsys, "gorenstein", path("fig11"), "--oracle", "--max-facet-vertices", "24"
+    )
+    assert (rc, err) == (0, "")
+
+
+def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypatch):
+    # a 45-vertex stack whose transpose is not a stack: with the guard
+    # raised, the transpose's multiplicity comes from its complex
+    grid = ".##" + "." * 17 + "\\n" + "#" * 20
+    seen = []
+    real = cli.hilbert_numerator
+
+    def spy(c, max_vertices):
+        seen.append((len(c.vertices), max_vertices, is_stack(c.poly)))
+        return real(c, max_vertices)
+
+    monkeypatch.setattr(cli, "hilbert_numerator", spy)
+    rc, _, err = run(
+        capsys, "invariants", "--grid", grid, "--oracle", "--max-facet-vertices", "60"
+    )
+    assert (rc, err) == (0, "")
+    assert sorted(seen) == [(45, 60, False), (45, 60, True)]
 
 
 def test_unknown_command_exits_1(capsys):

@@ -97,13 +97,13 @@ def test_five_cell_counterexamples():
 
 
 def test_full_report_past_the_fvector_guard():
-    # 10-cell base row with a 2-cell tower at one end: 26 vertices, past
-    # the default f-vector guard, which a stack's report no longer needs
+    # 10-cell base row with a 2-cell tower at one end: 26 vertices, inside
+    # the complex guard, which a stack's report does not need
     p = Polyomino([(c, 1) for c in range(1, 11)] + [(10, 2), (10, 3)])
-    assert len(p.vertices) == 26
+    assert len(p.vertices) == 26 <= srcomplex.MAX_VERTICES
     r = full_report(p)
     assert (r.a_invariant, r.regularity) == (-12, 2)
-    assert r.h_vector == hilbert_numerator(complex_of(p), 26)
+    assert r.h_vector == hilbert_numerator(complex_of(p))
     assert r.multiplicity == sum(r.h_vector)
     assert all(r.methods[name] == "recursion" for name in (
         "a_invariant", "regularity", "multiplicity", "h_vector",
@@ -112,7 +112,6 @@ def test_full_report_past_the_fvector_guard():
         "bounding-box bounds predict a=-11, regularity=3; the recursion gives "
         "a=-12, regularity=2 (reported)",
     )
-    assert full_report(p, max_fvector_vertices=26).to_dict() == r.to_dict()
 
 
 def test_decompose_ex3():
@@ -313,6 +312,14 @@ def test_ladder_staircase():
     assert multiplicity_ladder(4, 4, [4, 3, 2]) == 14
 
 
+def test_ladder_memoises_shared_subproblems():
+    # the full m = n = 30 staircase: without the memo the recursion
+    # revisits shared subproblems exponentially often
+    ks = tuple(range(30, 1, -1))
+    lp = ladder_polyomino(30, 30, ks)
+    assert multiplicity_ladder(30, 30, ks) == multiplicity_recursive(lp)
+
+
 def test_ladder_special_cases():
     # all-equal steps collapse to the rectangle value
     assert multiplicity_ladder(4, 4, [4, 4, 4]) == multiplicity_rectangle(4, 4)
@@ -413,8 +420,10 @@ def test_full_report_builds_no_complex_for_a_stack(monkeypatch):
 
     monkeypatch.setattr(invariants, "build_complex", refuse)
     monkeypatch.setattr(srcomplex, "build_complex", refuse)
+    # the complex guard gates only non-stack shapes
+    monkeypatch.setattr(invariants, "MAX_VERTICES", 0)
     for p in [fx(name) for name in STACK_FIXTURES] + [stack_from_profile((2, 5, 9, 9, 4, 1))]:
-        r = full_report(p, max_fvector_vertices=1, max_facet_vertices=1)
+        r = full_report(p)
         assert r.h_vector is not None
         assert r.methods["h_vector"] == "recursion"
 

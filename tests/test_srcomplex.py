@@ -7,11 +7,13 @@ from polyrings.errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from polyrings.invariants import (
     decompose,
     distinguished_vertex,
+    full_report,
     h_vector_recursive,
     multiplicity_recursive,
 )
 from polyrings.polyomino import Polyomino, is_rectangle, parse, stack_from_profile
 from polyrings.srcomplex import (
+    MAX_VERTICES,
     FlagComplex,
     _bits,
     _independent_counts,
@@ -287,17 +289,39 @@ def test_invariants_from_complex():
 
 
 def test_invariants_facets_only_for_mid_size():
-    # 32 vertices: beyond the f-vector guard, inside the facet guard
+    # 32 vertices, inside the complex guard: every value is reported
     ci = invariants_from_complex(complex_of(bar(15)))
-    assert ci.multiplicity == 16
-    assert ci.regularity is None and ci.h_vector is None
+    assert (ci.multiplicity, ci.regularity, ci.a_invariant) == (16, 1, -16)
+    assert ci.h_vector == (1, 15)
 
 
 def test_size_guards():
-    with pytest.raises(TooLarge):
-        f_vector(complex_of(bar(12)))
-    with pytest.raises(TooLarge):
-        facets(complex_of(bar(26)))
+    # one guard for every complex-derived value; fresh complexes, since a
+    # cached f-vector or facet list is returned without the guard
+    assert MAX_VERTICES == 40
+    inside, past = bar(19), bar(20)
+    assert (len(inside.vertices), len(past.vertices)) == (40, 42)
+    for fn in (f_vector, hilbert_numerator, facets, invariants_from_complex):
+        fn(build_complex(inside))
+        with pytest.raises(TooLarge, match="42 vertices exceed the complex guard 40"):
+            fn(build_complex(past))
+
+
+def test_fallback_complex_inside_the_guard():
+    # 25 vertices; the advisory order does not orient the compatible
+    # pairs transitively, so f_vector runs the independent-set DP and
+    # facets Bron-Kerbosch
+    p = parse("......#\n...####\n..###..\n###....\n.#.....")
+    order = variable_order(p)
+    c = build_complex(p, order)
+    assert len(c.vertices) == 25 and _rank_poset(c) is None
+    assert f_vector(c) == brute_face_counts(facets(c))
+    r = full_report(p, order)
+    assert (r.multiplicity, r.regularity, r.a_invariant) == (192, 5, -8)
+    assert r.h_vector == (1, 12, 48, 76, 46, 9)
+    assert all(r.methods[name] == "complex" for name in (
+        "a_invariant", "regularity", "multiplicity", "h_vector",
+    ))
 
 
 def test_purity():

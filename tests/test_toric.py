@@ -290,7 +290,7 @@ def test_order_missing_a_vertex_is_rejected():
     ranked = variable_order(p).ranked
     assert_order_rejected(p, VarOrder(ranked[:-1]))
     assert_order_rejected(p, VarOrder(ranked[1:], advisory=True))
-    # past the facet guard full_report builds no complex, and still checks
+    # past the complex guard full_report builds no complex, and still checks
     big = parse("\n".join(["#" * 6] * 6))
     assert len(big.vertices) > 40
     with pytest.raises(BadParameters):
