@@ -66,6 +66,7 @@ def _vertex_list(vs) -> list[list[int]]:
 
 
 def cmd_check(p: Polyomino, args) -> int:
+    """Print convexity, stack shape, heights and corners."""
     convex = is_convex(p)
     stack = is_stack(p)
     if args.oracle and convex != has_monotone_paths(p):
@@ -98,6 +99,7 @@ def cmd_check(p: Polyomino, args) -> int:
 
 
 def cmd_gorenstein(p: Polyomino, args) -> int:
+    """Decide Gorenstein, with certificates or a violation."""
     verdict = is_gorenstein_convex(p)
     if args.oracle and is_stack(p):
         sub = is_gorenstein_stack_subsets(p)
@@ -146,6 +148,7 @@ def cmd_gorenstein(p: Polyomino, args) -> int:
 
 
 def cmd_invariants(p: Polyomino, args) -> int:
+    """Print a-invariant, regularity, multiplicity, h-vector."""
     if args.oracle and is_stack(p) and len(p.vertices) > args.max_facet_vertices:
         raise PolyominoError(
             "oracle cross-check impossible: vertex count exceeds --max-facet-vertices"
@@ -199,6 +202,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
 
 
 def cmd_facets(p: Polyomino, args) -> int:
+    """List the facets of the initial complex."""
     c = build_complex(p)
     fs = facets(c, args.max_facet_vertices)
     if args.oracle:
@@ -231,6 +235,7 @@ def cmd_facets(p: Polyomino, args) -> int:
 
 
 def cmd_decompose(p: Polyomino, args) -> int:
+    """Split a stack at its distinguished vertex."""
     dec = decompose(p)
     if args.oracle:
         whole = multiplicity_recursive(p)
@@ -263,6 +268,7 @@ def cmd_decompose(p: Polyomino, args) -> int:
 
 
 def cmd_groebner(p: Polyomino, args) -> int:
+    """Print the variable order and each minor's lead term."""
     order = variable_order(p)
     minors = inner_minors(p)
     verified = verify_groebner(p, order)
@@ -318,7 +324,13 @@ def _parser() -> argparse.ArgumentParser:
             action="store_true",
             help="run brute-force cross-checks, fail on disagreement",
         )
-        sp.add_argument("--max-facet-vertices", type=int, default=MAX_VERTICES)
+        sp.add_argument(
+            "--max-facet-vertices",
+            type=int,
+            default=MAX_VERTICES,
+            help="largest facet complex to build, in vertices "
+            f"(default srcomplex.MAX_VERTICES = {MAX_VERTICES})",
+        )
         sp.set_defaults(func=fn)
     return top
 

@@ -506,8 +506,33 @@ def link_decompose(c: FlagComplex, v: Variable, f: frozenset) -> tuple[frozenset
     part plus the column-i vertices below v, and G1 renormalizes to a
     facet of the upper part's complex.
 
+    Everything that does not depend on F (the link facets, G2 and the
+    upper part's facets) is built once per complex and vertex and kept
+    in c._links.
+
     Returns (g1, g2) in the original coordinates.
     """
+    got = c._links.get(("decompose", v))
+    if got is None:
+        got = _decompose_parts(c, v)
+        c._links[("decompose", v)] = got
+    links, g2, shift, upper_facets = got
+    f = frozenset(f)
+    if f not in links:
+        raise DecompositionFailed("input is not a facet of the link")
+    fv = f | {v}
+    if not g2 <= fv:
+        raise DecompositionFailed("facet does not contain the boundary block G2")
+    g1 = fv - g2
+    dc, dr = shift
+    if frozenset((a - dc, b - dr) for a, b in g1) not in upper_facets:
+        raise DecompositionFailed("G1 does not renormalize to a facet of the upper part")
+    return g1, g2
+
+
+def _decompose_parts(c: FlagComplex, v: Variable) -> tuple:
+    """(link facets, G2, renormalizing shift, upper part's facets) for
+    link_decompose, after checking that v is the distinguished vertex."""
     p = c.poly
     i, j = v
     hs = heights(p)
@@ -519,20 +544,9 @@ def link_decompose(c: FlagComplex, v: Variable, f: frozenset) -> tuple[frozenset
     upper = {(cc, rr) for cc, rr in p.cells if rr >= j}
     if not upper:
         raise DecompositionFailed("rectangle: no cells at or above the top level")
-    f = frozenset(f)
-    if f not in set(link_facets(c, v)):
-        raise DecompositionFailed("input is not a facet of the link")
     lo = min(cc for cc, _ in upper)
     hi = max(cc for cc, _ in upper) + 1
     g2 = {(a, j) for a in range(1, p.m + 1) if (a, j) in p.vertices and not lo <= a <= hi}
     g2 |= {(i, k) for k in range(1, j)}
-    g2 = frozenset(g2)
-    fv = f | {v}
-    if not g2 <= fv:
-        raise DecompositionFailed("facet does not contain the boundary block G2")
-    g1 = fv - g2
-    p2 = Polyomino(upper)
-    g1n = frozenset((a - (lo - 1), b - (j - 1)) for a, b in g1)
-    if g1n not in set(facets(build_complex(p2))):
-        raise DecompositionFailed("G1 does not renormalize to a facet of the upper part")
-    return g1, g2
+    upper_facets = frozenset(facets(build_complex(Polyomino(upper))))
+    return frozenset(link_facets(c, v)), frozenset(g2), (lo - 1, j - 1), upper_facets

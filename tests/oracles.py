@@ -34,6 +34,13 @@ def brute_convex(p):
     return True
 
 
+def brute_convex_polyominoes(fixed):
+    """The convex shapes among the given fixed polyominoes, in their
+    order: the filter over fixed_polyominoes(n) that the column-interval
+    enumerator replaces."""
+    return [p for p in fixed if brute_convex(p)]
+
+
 def brute_heights(p):
     vs = vertex_set(p)
     m = max(c for c, _ in vs)

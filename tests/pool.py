@@ -8,10 +8,11 @@ from polyrings import (
     fixed_polyominoes,
     fixtures,
     full_report,
-    is_convex,
     stack_polyominoes,
 )
 from polyrings.toric import VarOrder
+
+from oracles import brute_convex_polyominoes
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +32,8 @@ def fixed_upto(max_cells):
 
 @lru_cache(maxsize=None)
 def convex_upto(max_cells):
-    return tuple(p for p in fixed_upto(max_cells) if is_convex(p))
+    """The brute-force reference: convex shapes filtered out of fixed_upto."""
+    return tuple(brute_convex_polyominoes(fixed_upto(max_cells)))
 
 
 @lru_cache(maxsize=None)

@@ -284,6 +284,19 @@ def test_help_exits_0(capsys):
     assert rc == 0
 
 
+def test_help_describes_every_subcommand(capsys):
+    rc = main(["--help"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    for name in COMMANDS:
+        line = next(ln for ln in out.splitlines() if ln.split()[:1] == [name])
+        assert line.split(maxsplit=1)[1:], f"no help text for {name}"
+    rc = main(["facets", "--help"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "srcomplex.MAX_VERTICES = 40" in " ".join(out.split())
+
+
 def test_internal_violation_exits_2(capsys, monkeypatch):
     def boom(*a, **k):
         raise ConsistencyError("forced for the exit-code contract")

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from polyrings import srcomplex
 from polyrings.errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from polyrings.invariants import (
     decompose,
@@ -441,6 +442,26 @@ def test_link_bijection_on_small_stacks():
             assert g1 | g2 == f | {dec.v}
             assert not (g1 & g2)
             assert len(g1) + len(g2) == c.d
+
+
+def test_link_decompose_builds_the_upper_complex_once(monkeypatch):
+    built = []
+
+    def counting(q, order=None):
+        built.append(q)
+        return build_complex(q, order)
+
+    monkeypatch.setattr(srcomplex, "build_complex", counting)
+    for name in ("ex3", "figb"):
+        p = fx(name)
+        c = build_complex(p)
+        v = distinguished_vertex(p)
+        links = link_facets(c, v)
+        assert len(links) > 1
+        built.clear()
+        for f in links:
+            link_decompose(c, v, f)
+        assert len(built) == 1, name
 
 
 def test_link_decompose_values():
