@@ -223,12 +223,6 @@ def induced_connected(g: BipartiteGraph, w: MixedSubset) -> bool:
     return _connected_parts(g, w.tx.bits, w.ty.bits) == 1
 
 
-def is_connected(g: BipartiteGraph) -> bool:
-    full_x = (1 << g.m) - 1
-    full_y = (1 << g.n) - 1
-    return _connected_parts(g, full_x, full_y) == 1
-
-
 def is_two_connected(g: BipartiteGraph) -> bool:
     """Connected, at least 3 nodes, and no cut vertex."""
     if g.m + g.n < 3:

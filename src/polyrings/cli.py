@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bigraph import MAX_CUT_NODES, build_graph, max_disjoint_directed_cuts
+from .bigraph import build_graph, max_disjoint_directed_cuts
 from .errors import (
     ConsistencyError,
     DecompositionFailed,
@@ -18,6 +18,7 @@ from .errors import (
     NotAFacet,
     NotPure,
     PolyominoError,
+    TooLarge,
 )
 from .gorenstein import (
     is_gorenstein_convex,
@@ -38,7 +39,7 @@ from .polyomino import (
     parse,
     serialize,
 )
-from .srcomplex import MAX_VERTICES, build_complex, facets, hilbert_numerator
+from .srcomplex import build_complex, facets, hilbert_numerator
 from .toric import inner_minors, leading_term, mono_str, var_str, variable_order, verify_groebner
 
 
@@ -63,6 +64,15 @@ def _load(args) -> Polyomino:
 
 def _vertex_list(vs) -> list[list[int]]:
     return [list(v) for v in sorted(vs)]
+
+
+def _budgeted(fn, *args):
+    """fn(*args), or None when a work budget stops it; an --oracle
+    cross-check that needs the value is then skipped."""
+    try:
+        return fn(*args)
+    except TooLarge:
+        return None
 
 
 def cmd_check(p: Polyomino, args) -> int:
@@ -109,12 +119,11 @@ def cmd_gorenstein(p: Polyomino, args) -> int:
                 f"checker disagreement: convex={verdict.gorenstein} "
                 f"level-sets={sub.gorenstein} corners={cor}"
             )
-        if len(p.vertices) <= args.max_facet_vertices:
-            h = hilbert_numerator(build_complex(p), args.max_facet_vertices)
-            if (h == h[::-1]) != verdict.gorenstein:
-                raise ConsistencyError(
-                    f"h-vector {h} palindromicity contradicts verdict {verdict.gorenstein}"
-                )
+        h = _budgeted(hilbert_numerator, build_complex(p))
+        if h is not None and (h == h[::-1]) != verdict.gorenstein:
+            raise ConsistencyError(
+                f"h-vector {h} palindromicity contradicts verdict {verdict.gorenstein}"
+            )
     if args.json:
         payload = {
             "gorenstein": verdict.gorenstein,
@@ -149,10 +158,6 @@ def cmd_gorenstein(p: Polyomino, args) -> int:
 
 def cmd_invariants(p: Polyomino, args) -> int:
     """Print a-invariant, regularity, multiplicity, h-vector."""
-    if args.oracle and is_stack(p) and len(p.vertices) > args.max_facet_vertices:
-        raise PolyominoError(
-            "oracle cross-check impossible: vertex count exceeds --max-facet-vertices"
-        )
     rep = full_report(p)
     if args.oracle and is_stack(p):
         from .polyomino import transpose
@@ -162,8 +167,8 @@ def cmd_invariants(p: Polyomino, args) -> int:
             flipped = multiplicity_recursive(q)
         else:
             try:
-                flipped = sum(hilbert_numerator(build_complex(q), args.max_facet_vertices))
-            except GroebnerUnverified:
+                flipped = sum(hilbert_numerator(build_complex(q)))
+            except (GroebnerUnverified, TooLarge):
                 flipped = None
         if flipped is not None and flipped != rep.multiplicity:
             raise ConsistencyError(
@@ -171,15 +176,14 @@ def cmd_invariants(p: Polyomino, args) -> int:
             )
         # the recursion's h against the complex, which full_report does
         # not build for a stack
-        h = hilbert_numerator(build_complex(p), args.max_facet_vertices)
-        if h != rep.h_vector:
+        h = _budgeted(hilbert_numerator, build_complex(p))
+        if h is not None and h != rep.h_vector:
             raise ConsistencyError(f"recursion h-vector {rep.h_vector} vs complex {h}")
-        if p.m + p.n <= MAX_CUT_NODES:
-            cuts, _ = max_disjoint_directed_cuts(build_graph(p))
-            if cuts != -rep.a_invariant:
-                raise ConsistencyError(
-                    f"max disjoint directed cuts {cuts} vs -a = {-rep.a_invariant}"
-                )
+        cuts = _budgeted(max_disjoint_directed_cuts, build_graph(p))
+        if cuts is not None and cuts[0] != -rep.a_invariant:
+            raise ConsistencyError(
+                f"max disjoint directed cuts {cuts[0]} vs -a = {-rep.a_invariant}"
+            )
     if args.json:
         _emit_json(rep.to_dict())
         return 0
@@ -204,7 +208,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
 def cmd_facets(p: Polyomino, args) -> int:
     """List the facets of the initial complex."""
     c = build_complex(p)
-    fs = facets(c, args.max_facet_vertices)
+    fs = facets(c)
     if args.oracle:
         forb = c.forbidden
         verts = set(c.vertices)
@@ -247,9 +251,9 @@ def cmd_decompose(p: Polyomino, args) -> int:
         flipped = multiplicity_recursive(mirror(p))
         if flipped != whole:
             raise ConsistencyError(f"e(P) = {whole} but e of its mirror image = {flipped}")
-        if len(p.vertices) <= args.max_facet_vertices:
-            if len(facets(build_complex(p), args.max_facet_vertices)) != whole:
-                raise ConsistencyError("facet count disagrees with the recursion")
+        fs = _budgeted(facets, build_complex(p))
+        if fs is not None and len(fs) != whole:
+            raise ConsistencyError("facet count disagrees with the recursion")
     if args.json:
         _emit_json(
             {
@@ -323,13 +327,6 @@ def _parser() -> argparse.ArgumentParser:
             "--oracle",
             action="store_true",
             help="run brute-force cross-checks, fail on disagreement",
-        )
-        sp.add_argument(
-            "--max-facet-vertices",
-            type=int,
-            default=MAX_VERTICES,
-            help="largest facet complex to build, in vertices "
-            f"(default srcomplex.MAX_VERTICES = {MAX_VERTICES})",
         )
         sp.set_defaults(func=fn)
     return top

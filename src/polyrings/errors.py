@@ -34,7 +34,7 @@ class NotStack(PolyominoError):
 
 
 class TooLarge(PolyominoError):
-    """Input exceeds a size guard for an exponential sweep."""
+    """Input exceeds the work budget of an exponential stage."""
 
 
 class GroebnerUnverified(PolyominoError):

@@ -62,6 +62,7 @@ from .errors import (
     IsRectangle,
     NotConvex,
     NotStack,
+    TooLarge,
 )
 from .gorenstein import is_gorenstein_convex
 from .polyomino import (
@@ -72,7 +73,7 @@ from .polyomino import (
     is_stack,
     stack_from_profile,
 )
-from .srcomplex import MAX_VERTICES, build_complex, invariants_from_complex
+from .srcomplex import build_complex, invariants_from_complex
 from .toric import VarOrder, _check_ranks
 
 
@@ -356,8 +357,8 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
 
     A stack takes its h-vector, regularity deg h, a-invariant deg h - d
     and multiplicity h(1) from the h-polynomial recursion, all tagged
-    "recursion", at any size: no complex is built and the complex guard
-    does not apply. Two independent checks certify the recursion at
+    "recursion", at any size: no complex is built and no work budget
+    applies. Two independent checks certify the recursion at
     runtime: deg h must equal the exact closed-form regularity, and h
     must be palindromic exactly when the interval criterion calls K[P]
     Gorenstein. Either split raises ConsistencyError. The bounding-box
@@ -366,9 +367,10 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     notes, never raised.
 
     Non-stack convex shapes get all four values from the complex
-    ("complex") only when a supplied order passes the Groebner check and
-    p has at most srcomplex.MAX_VERTICES vertices; otherwise all four are
-    "unavailable". Every shape, at any size, gets the Gorenstein
+    ("complex") when a supplied order passes the Groebner check and the
+    complex's f-vector stays within its work budget (srcomplex); otherwise
+    all four are "unavailable", and a budget that stopped the f-vector is
+    named in notes. Every shape, at any size, gets the Gorenstein
     verdict from the polynomial interval scan of the convex criterion
     (tagged "interval criterion"). A supplied order must rank exactly
     the vertices of p (BadParameters otherwise); a stack does not use it.
@@ -401,11 +403,13 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
                 f"bounding-box bounds predict a={bound_a}, regularity={bound_reg}; "
                 f"the recursion gives a={a}, regularity={reg} (reported)"
             )
-    elif order is not None and len(p.vertices) <= MAX_VERTICES:
+    elif order is not None:
         try:
             ci = invariants_from_complex(build_complex(p, order))
         except GroebnerUnverified:
             pass
+        except TooLarge as exc:
+            notes.append(str(exc))
         else:
             a, reg, mult, h = ci.a_invariant, ci.regularity, ci.multiplicity, ci.h_vector
             for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):

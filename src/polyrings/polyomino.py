@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DisconnectedCells,
@@ -291,11 +291,3 @@ def cells_at_or_above(p: Polyomino, level: int) -> Polyomino:
     if not _edge_connected(frozenset(kept)):
         raise DisconnectedResult(f"cells at or above level {level} are disconnected")
     return Polyomino(kept)
-
-
-def cell_columns(p: Polyomino) -> Iterator[tuple[int, list[int]]]:
-    """Yield (col, sorted rows) for each nonempty cell column."""
-    for col in range(1, p.m):
-        rows = sorted(r for c, r in p.cells if c == col)
-        if rows:
-            yield col, rows

@@ -22,9 +22,11 @@ disconnected vertex set the product of its components, and a connected
 one branches on its busiest vertex. facets falls back to Bron-Kerbosch.
 Both paths keep the purity checks.
 
-One size guard covers the complex: f_vector, hilbert_numerator and
-facets raise TooLarge past MAX_VERTICES vertices, on either path, unless
-a caller passes its own max_vertices.
+Two work budgets stop the exponential stages, each checked against
+what the stage already measures, and raise TooLarge naming the budget:
+the fallback DP past MAX_DP_ENTRIES memo entries, and facets past
+MAX_FACETS facets, as counted by f_vector before anything is listed. The
+chain-path f-vector is polynomial and has no limit.
 
 Both f_vector paths keep a polynomial in one int with nv + 1 bits per
 coefficient (nv vertices); no face count reaches 2^nv, so no
@@ -47,8 +49,10 @@ from .toric import Variable, VarOrder, initial_ideal
 
 Facet = frozenset[Variable]
 
-# the one size guard on the complex (see the module docstring)
-MAX_VERTICES = 40
+# the work budgets of the exponential stages (see the module docstring);
+# about 3 s of DP, and about 0.4 s and 130 MB of facets
+MAX_DP_ENTRIES = 200_000
+MAX_FACETS = 50_000
 
 
 @dataclass(eq=False)
@@ -243,9 +247,10 @@ def _members(verts: tuple, masks: list[int]):
     return map(compress, repeat(verts), rows)
 
 
-def facets(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[Facet, ...]:
+def facets(c: FlagComplex) -> tuple[Facet, ...]:
     """All facets, sorted by their vertex tuples; asserts purity (every
-    facet has size d).
+    facet has size d). TooLarge, before anything is listed, when f_vector
+    counts more than MAX_FACETS of them (or its own DP budget stops it).
 
     Each facet is first an int mask with vertex k at bit nv-1-k: maximal
     chains by _chain_masks on the chain path, maximal independent sets
@@ -259,14 +264,14 @@ def facets(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[Facet, ...
     """
     if c._facets is not None:
         return c._facets
-    nv = len(c.vertices)
-    if nv > max_vertices:
-        raise TooLarge(f"{nv} vertices exceed the complex guard {max_vertices}")
+    count = f_vector(c)[-1]
+    if count > MAX_FACETS:
+        raise TooLarge(f"{count} facets exceed the budget MAX_FACETS = {MAX_FACETS}")
     poset = _rank_poset(c)
     if poset is not None:
         masks = _chain_masks(*poset)
     else:
-        masks = _max_independent_sets(_mirrored(c._adj), (1 << nv) - 1)
+        masks = _max_independent_sets(_mirrored(c._adj), (1 << len(c.vertices)) - 1)
     masks.sort(reverse=True)
     for mask in masks:
         if mask.bit_count() != c.d:
@@ -286,8 +291,10 @@ def _independent_counts(adj: tuple, mask: int, memo: dict) -> tuple[int, ...]:
     coefficient (the empty mask to 1). Isolated vertices contribute (1 + t) each, read off a
     precomputed row; a disconnected remainder is the product of its
     components; a connected one branches on its busiest vertex v as
-    I(mask - v) + t I(mask - N[v]).
+    I(mask - v) + t I(mask - N[v]). TooLarge once memo holds more than
+    MAX_DP_ENTRIES entries.
     """
+    budget = MAX_DP_ENTRIES
     width = len(adj) + 1
     one_plus_t = 1 + (1 << width)
     edgeless = [1]
@@ -331,24 +338,26 @@ def _independent_counts(adj: tuple, mask: int, memo: dict) -> tuple[int, ...]:
                     count(mask & ~(adj[pivot] | 1 << pivot)) << width
                 )
         memo[mask] = result
+        if len(memo) > budget:
+            raise TooLarge(
+                f"independent-set DP past the budget MAX_DP_ENTRIES = {budget} memo entries"
+            )
         return result
 
     return _unpack(count(mask), width)
 
 
-def f_vector(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_{d-1}): chains counted on the chain path,
-    independent sets of the forbidden-pair graph otherwise."""
+def f_vector(c: FlagComplex) -> tuple[int, ...]:
+    """(f_-1, f_0, ..., f_{d-1}): chains counted on the chain path, at
+    any size, independent sets of the forbidden-pair graph otherwise,
+    TooLarge past MAX_DP_ENTRIES memo entries."""
     if c._counts is not None:
         return c._counts
-    nv = len(c.vertices)
-    if nv > max_vertices:
-        raise TooLarge(f"{nv} vertices exceed the complex guard {max_vertices}")
     poset = _rank_poset(c)
     if poset is not None:
         counts = _chain_counts(*poset)
     else:
-        counts = _independent_counts(c._adj, (1 << nv) - 1, {})
+        counts = _independent_counts(c._adj, (1 << len(c.vertices)) - 1, {})
     if len(counts) != c.d + 1:
         raise NotPure(
             f"face sizes reach {len(counts) - 1}, expected d = {c.d}"
@@ -357,15 +366,15 @@ def f_vector(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[int, ...
     return counts
 
 
-def hilbert_numerator(c: FlagComplex, max_vertices: int = MAX_VERTICES) -> tuple[int, ...]:
-    """Coefficients of Q(t) = sum f_(i-1) t^i (1-t)^(d-i), trailing zeros cut.
-    max_vertices is passed on to f_vector.
+def hilbert_numerator(c: FlagComplex) -> tuple[int, ...]:
+    """Coefficients of Q(t) = sum f_(i-1) t^i (1-t)^(d-i), trailing zeros cut;
+    TooLarge when f_vector's DP budget stops it.
 
     A difference table: with Q_0 = f_-1 and Q_i = (1 - t) Q_(i-1) +
     f_(i-1) t^i, Q is Q_d (f_vector has exactly d + 1 entries), and each
     step subtracts neighbouring coefficients.
     """
-    fv = f_vector(c, max_vertices)
+    fv = f_vector(c)
     q = [fv[0]]
     for fi in fv[1:]:
         q = [a - b for a, b in zip(q + [fi], [0] + q)]
@@ -386,8 +395,8 @@ class ComplexInvariants:
 
 def invariants_from_complex(c: FlagComplex) -> ComplexInvariants:
     """Multiplicity Q(1), regularity deg Q, a-invariant deg Q - d and
-    h-vector Q, all from the Hilbert numerator Q; TooLarge past
-    MAX_VERTICES."""
+    h-vector Q, all from the Hilbert numerator Q; TooLarge when the DP
+    budget MAX_DP_ENTRIES stops the fallback f-vector."""
     q = hilbert_numerator(c)
     deg = len(q) - 1
     return ComplexInvariants(sum(q), deg, deg - c.d, q)

@@ -81,9 +81,6 @@ class VarOrder:
     def position(self, v: Variable) -> int:
         return self._pos[v]
 
-    def greater(self, a: Variable, b: Variable) -> bool:
-        return self._pos[a] < self._pos[b]
-
     def smallest(self) -> Variable:
         return self.ranked[-1]
 

@@ -5,9 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from polyrings import cli, fixtures, invariants
+from polyrings import cli, fixtures, invariants, srcomplex
 from polyrings.cli import main
-from polyrings.errors import ConsistencyError
+from polyrings.errors import ConsistencyError, TooLarge
 from polyrings.fixtures import fixture_path, names
 from polyrings.polyomino import is_stack
 
@@ -199,14 +199,19 @@ def test_validation_failures_exit_1(capsys):
     assert rc == 1
 
 
-def test_decompose_oracle_honours_the_facet_guard(capsys):
-    # a 22-cell stack with 46 vertices: past the default facet guard of 40
+def test_decompose_oracle_honours_the_facet_guard(capsys, monkeypatch):
+    # a 22-cell stack with 46 vertices, past the old guard of 40: its
+    # facets are counted and listed against the recursion
     grid = "#" + "." * 20 + "\\n" + "#" * 21
-    rc, out, err = run(
-        capsys, "decompose", "--grid", grid, "--oracle", "--max-facet-vertices", "60"
-    )
-    assert (rc, err) == (0, "")
+    listed = []
+    real = cli.facets
+    monkeypatch.setattr(cli, "facets", lambda c: listed.append(len(c.vertices)) or real(c))
+    rc, out, err = run(capsys, "decompose", "--grid", grid, "--oracle")
+    assert (rc, err, listed) == (0, "", [46])
     assert out.splitlines()[0] == "v: (3,2)"
+    # past the facet budget the cross-check is skipped, not failed
+    monkeypatch.setattr(srcomplex, "MAX_FACETS", 1)
+    assert run(capsys, "decompose", "--grid", grid, "--oracle") == (0, out, "")
 
 
 def test_decompose_oracle_catches_a_wrong_recursion(capsys, monkeypatch):
@@ -246,30 +251,34 @@ def test_gorenstein_oracle_checks_stacks_up_to_the_guard(capsys, monkeypatch):
     monkeypatch.setattr(cli, "hilbert_numerator", lambda *a, **k: h)
     rc, _, err = run(capsys, "gorenstein", path("fig11"), "--oracle")
     assert rc == 2 and "palindromicity contradicts" in err
-    # past --max-facet-vertices the complex is not consulted
-    rc, _, err = run(
-        capsys, "gorenstein", path("fig11"), "--oracle", "--max-facet-vertices", "24"
-    )
+    # when a work budget stops the complex, the cross-check is skipped
+    def stopped(c):
+        raise TooLarge("forced budget stop")
+
+    monkeypatch.setattr(cli, "hilbert_numerator", stopped)
+    rc, _, err = run(capsys, "gorenstein", path("fig11"), "--oracle")
     assert (rc, err) == (0, "")
 
 
 def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypatch):
-    # a 45-vertex stack whose transpose is not a stack: with the guard
-    # raised, the transpose's multiplicity comes from its complex
+    # a 45-vertex stack whose transpose is not a stack: past the old
+    # guard of 40, the transpose's multiplicity comes from its complex
     grid = ".##" + "." * 17 + "\\n" + "#" * 20
     seen = []
     real = cli.hilbert_numerator
 
-    def spy(c, max_vertices):
-        seen.append((len(c.vertices), max_vertices, is_stack(c.poly)))
-        return real(c, max_vertices)
+    def spy(c):
+        seen.append((len(c.vertices), is_stack(c.poly)))
+        return real(c)
 
     monkeypatch.setattr(cli, "hilbert_numerator", spy)
-    rc, _, err = run(
-        capsys, "invariants", "--grid", grid, "--oracle", "--max-facet-vertices", "60"
-    )
+    rc, out, err = run(capsys, "invariants", "--grid", grid, "--oracle")
     assert (rc, err) == (0, "")
-    assert sorted(seen) == [(45, 60, False), (45, 60, True)]
+    assert sorted(seen) == [(45, False), (45, True)]
+    # the transpose's fallback DP needs 70 memo entries; a budget of 69
+    # skips that cross-check and changes no output
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 69)
+    assert run(capsys, "invariants", "--grid", grid, "--oracle") == (0, out, "")
 
 
 def test_unknown_command_exits_1(capsys):
@@ -291,10 +300,14 @@ def test_help_describes_every_subcommand(capsys):
     for name in COMMANDS:
         line = next(ln for ln in out.splitlines() if ln.split()[:1] == [name])
         assert line.split(maxsplit=1)[1:], f"no help text for {name}"
+    # no size option: the work budgets live in srcomplex
     rc = main(["facets", "--help"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "srcomplex.MAX_VERTICES = 40" in " ".join(out.split())
+    options = {word.strip("[],") for word in out.split() if word.lstrip("[").startswith("--")}
+    assert options == {"--help", "--grid", "--json", "--oracle"}
+    rc, _, err = run(capsys, "facets", "--grid", "#", "--max-facets", "60")
+    assert rc == 1 and "unrecognized arguments: --max-facets" in err
 
 
 def test_internal_violation_exits_2(capsys, monkeypatch):

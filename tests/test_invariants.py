@@ -97,10 +97,12 @@ def test_five_cell_counterexamples():
 
 
 def test_full_report_past_the_fvector_guard():
-    # 10-cell base row with a 2-cell tower at one end: 26 vertices, inside
-    # the complex guard, which a stack's report does not need
+    # 10-cell base row with a 2-cell tower at one end: 26 vertices; the
+    # report needs no complex, and the complex it is checked against is
+    # on the polynomial chain path, which no work budget limits
     p = Polyomino([(c, 1) for c in range(1, 11)] + [(10, 2), (10, 3)])
-    assert len(p.vertices) == 26 <= srcomplex.MAX_VERTICES
+    assert len(p.vertices) == 26
+    assert srcomplex._rank_poset(complex_of(p)) is not None
     r = full_report(p)
     assert (r.a_invariant, r.regularity) == (-12, 2)
     assert r.h_vector == hilbert_numerator(complex_of(p))
@@ -219,7 +221,7 @@ def test_full_report_on_a_70_cell_strip_and_its_transpose():
 
 def test_h_recursion_matches_the_complex():
     for p in stacks_upto(11):
-        assert h_vector_recursive(p) == hilbert_numerator(complex_of(p), 24), sorted(p.cells)
+        assert h_vector_recursive(p) == hilbert_numerator(complex_of(p)), sorted(p.cells)
 
 
 def test_h_splits_along_the_decomposition():
@@ -420,12 +422,32 @@ def test_full_report_builds_no_complex_for_a_stack(monkeypatch):
 
     monkeypatch.setattr(invariants, "build_complex", refuse)
     monkeypatch.setattr(srcomplex, "build_complex", refuse)
-    # the complex guard gates only non-stack shapes
-    monkeypatch.setattr(invariants, "MAX_VERTICES", 0)
+    # the work budgets gate only the complex, which a stack's report skips
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 0)
+    monkeypatch.setattr(srcomplex, "MAX_FACETS", 0)
     for p in [fx(name) for name in STACK_FIXTURES] + [stack_from_profile((2, 5, 9, 9, 4, 1))]:
         r = full_report(p)
         assert r.h_vector is not None
         assert r.methods["h_vector"] == "recursion"
+
+
+def test_full_report_on_a_chain_path_non_stack_past_40_vertices():
+    # the staircase band of cells (i, i) and (i, i + 1), 1 <= i <= 10:
+    # 42 vertices, not a stack, on the polynomial chain path; the old
+    # 40-vertex guard reported all four values as unavailable
+    p = Polyomino([(i, j) for i in range(1, 11) for j in (i, i + 1)])
+    order = variable_order(p)
+    assert len(p.vertices) == 42 and not is_stack(p)
+    assert srcomplex._rank_poset(build_complex(p, order)) is not None
+    r = full_report(p, order)
+    h = (1, 20, 171, 816, 2380, 4368, 5005, 3432, 1287, 220, 11)
+    assert r.h_vector == h
+    assert (r.regularity, r.a_invariant, r.multiplicity) == (10, 10 - r.d, sum(h))
+    assert (r.d, r.multiplicity) == (22, 17711)
+    assert all(r.methods[name] == "complex" for name in (
+        "a_invariant", "regularity", "multiplicity", "h_vector",
+    ))
+    assert r.notes == ()
 
 
 def test_full_report_gates_non_stacks():

@@ -14,7 +14,6 @@ from polyrings.invariants import (
 )
 from polyrings.polyomino import Polyomino, is_rectangle, parse, stack_from_profile
 from polyrings.srcomplex import (
-    MAX_VERTICES,
     FlagComplex,
     _bits,
     _independent_counts,
@@ -50,6 +49,21 @@ FIGB_F = frozenset(
 
 def bar(cells):
     return Polyomino([(c, 1) for c in range(1, cells + 1)])
+
+
+def box(side):
+    return Polyomino([(c, r) for c in range(1, side + 1) for r in range(1, side + 1)])
+
+
+def octagon(side, cut):
+    """The side x side box without the cells (c, r) whose L1 distance
+    min(c - 1, side - c) + min(r - 1, side - r) to a corner is below cut."""
+    return Polyomino(
+        (c, r)
+        for c in range(1, side + 1)
+        for r in range(1, side + 1)
+        if min(c - 1, side - c) + min(r - 1, side - r) >= cut
+    )
 
 
 def test_build_complex_shapes():
@@ -194,13 +208,13 @@ def test_chain_facets_on_seeded_large_stacks():
     for p in seeded_stacks(12, 30, 60, "chain facets"):
         c = complex_of(p)
         assert _rank_poset(c) is not None
-        fs = facets(c, max_vertices=60)
+        fs = facets(c)
         keys = [tuple(sorted(c._index[v] for v in f)) for f in fs]
         assert len(set(fs)) == len(fs)
         assert all(len(f) == c.d for f in fs)
         assert keys == sorted(keys)
         assert not any(pair <= f for f in fs for pair in c.forbidden)
-        assert len(fs) == f_vector(c, max_vertices=60)[-1] == multiplicity_recursive(p)
+        assert len(fs) == f_vector(c)[-1] == multiplicity_recursive(p)
 
 
 def hand_built(ranked, forbidden, d):
@@ -297,15 +311,74 @@ def test_invariants_facets_only_for_mid_size():
 
 
 def test_size_guards():
-    # one guard for every complex-derived value; fresh complexes, since a
-    # cached f-vector or facet list is returned without the guard
-    assert MAX_VERTICES == 40
-    inside, past = bar(19), bar(20)
-    assert (len(inside.vertices), len(past.vertices)) == (40, 42)
+    # two work budgets and no vertex count: the 42-vertex bar, past the
+    # old guard of 40 vertices, is on the chain path and gets every value
+    assert (srcomplex.MAX_DP_ENTRIES, srcomplex.MAX_FACETS) == (200_000, 50_000)
+    p = bar(20)
+    assert len(p.vertices) == 42 and _rank_poset(build_complex(p)) is not None
+    assert f_vector(build_complex(p))[-1] == 21
+    assert hilbert_numerator(build_complex(p)) == (1, 20)
+    assert len(facets(build_complex(p))) == 21
+    ci = invariants_from_complex(build_complex(p))
+    assert (ci.multiplicity, ci.regularity, ci.a_invariant) == (21, 1, -21)
+
+
+def test_facet_budget_stops_before_listing(monkeypatch):
+    # the 10 x 10 box has C(20, 10) = 184,756 facets; the chain count
+    # reads that before a single facet is listed
+    def refuse(*args):
+        raise AssertionError("facets listed past the budget")
+
+    c = build_complex(box(10))
+    with monkeypatch.context() as mp:
+        mp.setattr(srcomplex, "_chain_masks", refuse)
+        mp.setattr(srcomplex, "_max_independent_sets", refuse)
+        with pytest.raises(
+            TooLarge, match="184756 facets exceed the budget MAX_FACETS = 50000"
+        ):
+            facets(c)
+    assert c._facets is None and f_vector(c)[-1] == comb(20, 10)
+    # the budget is inclusive: ex3 has 14 facets
+    monkeypatch.setattr(srcomplex, "MAX_FACETS", 13)
+    with pytest.raises(TooLarge, match="14 facets exceed the budget MAX_FACETS = 13"):
+        facets(build_complex(fx("ex3")))
+    monkeypatch.setattr(srcomplex, "MAX_FACETS", 14)
+    assert len(facets(build_complex(fx("ex3")))) == 14
+
+
+def test_dp_budget_stops_the_fallback(monkeypatch):
+    # the 76-vertex octagon is off the chain path: its DP needs 2,030
+    # memo entries, and a budget of 1,000 stops it at the 1,001st
+    p = octagon(9, 3)
+    order = variable_order(p)
+    c = build_complex(p, order)
+    assert len(c.vertices) == 76 and _rank_poset(c) is None
+    full = (1 << 76) - 1
+    memo: dict = {}
+    _independent_counts(c._adj, full, memo)
+    assert len(memo) == 2030
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 1000)
+    memo = {}
+    with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):
+        _independent_counts(c._adj, full, memo)
+    assert len(memo) == 1001
     for fn in (f_vector, hilbert_numerator, facets, invariants_from_complex):
-        fn(build_complex(inside))
-        with pytest.raises(TooLarge, match="42 vertices exceed the complex guard 40"):
-            fn(build_complex(past))
+        with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):
+            fn(build_complex(p, order))
+    r = full_report(p, order)
+    assert r.h_vector is r.multiplicity is r.regularity is r.a_invariant is None
+    assert all(r.methods[name] == "unavailable" for name in (
+        "a_invariant", "regularity", "multiplicity", "h_vector",
+    ))
+    assert r.notes == (
+        "independent-set DP past the budget MAX_DP_ENTRIES = 1000 memo entries",
+    )
+    # inclusive here too
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 2029)
+    with pytest.raises(TooLarge):
+        f_vector(build_complex(p, order))
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 2030)
+    assert f_vector(build_complex(p, order)) == f_vector(c)
 
 
 def test_fallback_complex_inside_the_guard():
