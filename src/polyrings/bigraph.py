@@ -4,6 +4,14 @@ X carries one node per vertex column (x_1..x_m), Y one per vertex level
 (y_1..y_n), and (i, j) is an edge exactly when the lattice point (i, j)
 is a corner of some cell. Subsets of a side are bit sets of the side's
 width (Python ints, so any width), bit i-1 standing for x_i (or y_i).
+
+One matching routine (Kuhn's augmenting paths) serves two questions:
+the perfect matchings and Hall violators of this graph, and the rook
+number r(P), the largest set of cells no two in one cell row or cell
+column, a maximum matching of cell columns to cell rows. For a stack,
+reg K[P] = r(P) (Ene-Herzog-Qureshi-Romeo, 2021, for L-convex shapes),
+so -a = d - r(P): the paper's maximum number of disjoint directed cuts,
+whose 2^(m+n) sweep lives in the tests' oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import TooLarge
 from .polyomino import Polyomino
 
 
@@ -69,13 +76,6 @@ class MixedSubset:
         if self.tx.side != "X" or self.ty.side != "Y":
             raise ValueError("MixedSubset needs an X part and a Y part")
 
-    @classmethod
-    def from_indices(cls, x_indices, y_indices, m: int, n: int) -> "MixedSubset":
-        return cls(
-            SideSubset.from_indices("X", x_indices, m),
-            SideSubset.from_indices("Y", y_indices, n),
-        )
-
     def __len__(self) -> int:
         return len(self.tx) + len(self.ty)
 
@@ -85,32 +85,13 @@ class MixedSubset:
 
 
 class BipartiteGraph:
-    """Adjacency masks plus the cell set needed for interval stepping tests."""
+    """Adjacency masks plus the cell steps needed for interval tests."""
 
-    __slots__ = (
-        "m", "n", "cells", "edges", "edge_list", "adj_x", "adj_y",
-        "col_edges", "row_edges", "vstep", "hstep",
-    )
+    __slots__ = ("m", "n", "adj_x", "adj_y", "vstep", "hstep")
 
     def __init__(self, p: Polyomino):
         self.m = p.m
         self.n = p.n
-        self.cells = p.cells
-        self.edges = p.vertices
-        self.edge_list = tuple(sorted(p.vertices))
-        adj_x = [0] * (self.m + 1)
-        adj_y = [0] * (self.n + 1)
-        col_edges = [0] * (self.m + 1)
-        row_edges = [0] * (self.n + 1)
-        for idx, (i, j) in enumerate(self.edge_list):
-            adj_x[i] |= 1 << (j - 1)
-            adj_y[j] |= 1 << (i - 1)
-            col_edges[i] |= 1 << idx
-            row_edges[j] |= 1 << idx
-        self.adj_x = tuple(adj_x)
-        self.adj_y = tuple(adj_y)
-        self.col_edges = tuple(col_edges)
-        self.row_edges = tuple(row_edges)
         # vstep[i] bit j-1: vertical lattice edge (i,j)-(i,j+1) lies on a cell
         vstep = [0] * (self.m + 1)
         hstep = [0] * (self.n + 1)
@@ -121,15 +102,16 @@ class BipartiteGraph:
             hstep[r + 1] |= 1 << (c - 1)
         self.vstep = tuple(vstep)
         self.hstep = tuple(hstep)
+        # (i, j) is a vertex exactly when a vertical step in column i
+        # (a horizontal one on level j) starts or ends there
+        self.adj_x = tuple(b | b << 1 for b in vstep)
+        self.adj_y = tuple(b | b << 1 for b in hstep)
 
     def x_subset(self, indices) -> SideSubset:
         return SideSubset.from_indices("X", indices, self.m)
 
     def y_subset(self, indices) -> SideSubset:
         return SideSubset.from_indices("Y", indices, self.n)
-
-    def mixed(self, x_indices, y_indices) -> MixedSubset:
-        return MixedSubset.from_indices(x_indices, y_indices, self.m, self.n)
 
 
 def build_graph(p: Polyomino) -> BipartiteGraph:
@@ -240,22 +222,24 @@ def is_two_connected(g: BipartiteGraph) -> bool:
     return True
 
 
-def max_matching(g: BipartiteGraph) -> dict[int, int]:
-    """Maximum matching as a map x index -> y index (Kuhn augmenting paths).
+def _kuhn(adj, n: int) -> list[int]:
+    """Maximum matching of nodes 1..len(adj)-1 into 1..n by Kuhn's
+    augmenting paths, adj[i] bit j-1 standing for the edge (i, j); entry
+    j of the result is the mate of j, or 0 when j is free.
 
     Each search keeps its alternating path on an explicit stack, so its
     depth is not limited by Python's recursion limit. A step takes the
-    lowest unvisited neighbour level of the x node on top; a matched
-    level extends the path by its mate, a free one flips the path, and
-    an x node with no unvisited neighbour is popped.
+    lowest unvisited neighbour of the node on top; a matched neighbour
+    extends the path by its mate, a free one flips the path, and a node
+    with no unvisited neighbour is popped.
     """
-    match_y = [0] * (g.n + 1)
-    for root in range(1, g.m + 1):
+    match = [0] * (n + 1)
+    for root in range(1, len(adj)):
         visited = 0
-        path = [root]  # x nodes of the alternating path
-        via: list[int] = []  # via[k]: the level path[k] tries
+        path = [root]  # left nodes of the alternating path
+        via: list[int] = []  # via[k]: the right node path[k] tries
         while path:
-            free = g.adj_x[path[-1]] & ~visited
+            free = adj[path[-1]] & ~visited
             if not free:
                 path.pop()
                 del via[-1:]
@@ -264,12 +248,27 @@ def max_matching(g: BipartiteGraph) -> dict[int, int]:
             visited |= low
             j = low.bit_length()
             via.append(j)
-            if match_y[j] == 0:
-                for i, level in zip(path, via):
-                    match_y[level] = i
+            if match[j] == 0:
+                for i, right in zip(path, via):
+                    match[right] = i
                 break
-            path.append(match_y[j])
+            path.append(match[j])
+    return match
+
+
+def max_matching(g: BipartiteGraph) -> dict[int, int]:
+    """Maximum matching as a map x index -> y index."""
+    match_y = _kuhn(g.adj_x, g.n)
     return {i: j for j in range(1, g.n + 1) if (i := match_y[j])}
+
+
+def rook_number(p: Polyomino) -> int:
+    """r(P): the most cells of P with no two in one cell row or column,
+    a maximum matching of cell columns 1..m-1 to cell rows 1..n-1."""
+    rows = [0] * p.m
+    for c, r in p.cells:
+        rows[c] |= 1 << (r - 1)
+    return sum(1 for i in _kuhn(rows, p.n - 1) if i)
 
 
 def has_perfect_matching(g: BipartiteGraph) -> bool:
@@ -306,156 +305,3 @@ def hall_violator(g: BipartiteGraph) -> SideSubset | None:
         frontier = _or_rows(_or_rows(frontier, adj), mate_bits) & ~reached
         reached |= frontier
     return SideSubset(side, reached, width)
-
-
-@dataclass(frozen=True)
-class DirectedCut:
-    """Arrow set delta_plus(T) of a directed cut, with its source subset."""
-
-    source: MixedSubset
-    edges: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __str__(self) -> str:
-        inner = ",".join(f"({i},{j})" for i, j in sorted(self.edges))
-        return f"cut{{{inner}}} from {self.source}"
-
-
-def _edge_masks(g: BipartiteGraph, t: MixedSubset) -> tuple[int, int]:
-    colmask = 0
-    for i in t.tx.indices():
-        colmask |= g.col_edges[i]
-    rowmask = 0
-    for j in t.ty.indices():
-        rowmask |= g.row_edges[j]
-    plus = rowmask & ~colmask
-    minus = colmask & ~rowmask
-    return plus, minus
-
-
-def delta_plus(g: BipartiteGraph, t: MixedSubset) -> frozenset[tuple[int, int]]:
-    """Edges (i, j) with x_i outside T and y_j inside T (arrows leave Y)."""
-    plus, _ = _edge_masks(g, t)
-    return _mask_to_edges(g, plus)
-
-
-def delta_minus(g: BipartiteGraph, t: MixedSubset) -> frozenset[tuple[int, int]]:
-    """Edges (i, j) with x_i inside T and y_j outside T."""
-    _, minus = _edge_masks(g, t)
-    return _mask_to_edges(g, minus)
-
-
-def _mask_to_edges(g: BipartiteGraph, mask: int) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        g.edge_list[idx] for idx in range(len(g.edge_list)) if mask >> idx & 1
-    )
-
-
-def is_directed_cut(g: BipartiteGraph, t: MixedSubset) -> bool:
-    """T is proper nonempty and no arrow enters it from X, i.e. delta_minus empty."""
-    total = len(t)
-    if total == 0 or total == g.m + g.n:
-        return False
-    _, minus = _edge_masks(g, t)
-    return minus == 0
-
-
-def directed_cut(g: BipartiteGraph, t: MixedSubset) -> DirectedCut:
-    if not is_directed_cut(g, t):
-        raise ValueError(f"{t} is not the source of a directed cut")
-    plus, _ = _edge_masks(g, t)
-    return DirectedCut(t, _mask_to_edges(g, plus))
-
-
-def row_cuts(g: BipartiteGraph) -> list[DirectedCut]:
-    """The n disjoint cuts delta_plus({y_j}), one per level."""
-    return [directed_cut(g, g.mixed((), (j,))) for j in range(1, g.n + 1)]
-
-
-def column_cuts(g: BipartiteGraph) -> list[DirectedCut]:
-    """The m disjoint cuts delta_plus((X minus x_i) u Y), one per column."""
-    full_y = tuple(range(1, g.n + 1))
-    return [
-        directed_cut(g, g.mixed(tuple(k for k in range(1, g.m + 1) if k != i), full_y))
-        for i in range(1, g.m + 1)
-    ]
-
-
-# The cut sweep visits all 2^(m+n) mixed subsets; past this m + n it
-# raises TooLarge.
-MAX_CUT_NODES = 14
-
-
-def all_directed_cuts(g: BipartiteGraph) -> list[DirectedCut]:
-    """Every directed cut, deduplicated by arrow set, sources in bit order."""
-    if g.m + g.n > MAX_CUT_NODES:
-        raise TooLarge(f"m+n = {g.m + g.n} exceeds the cut sweep limit {MAX_CUT_NODES}")
-    out: dict[int, MixedSubset] = {}
-    total = g.m + g.n
-    row_edge_or = [0] * (1 << g.n)
-    for ybits in range(1, 1 << g.n):
-        low = ybits & -ybits
-        row_edge_or[ybits] = row_edge_or[ybits ^ low] | g.row_edges[low.bit_length()]
-    col_edge_or = [0] * (1 << g.m)
-    for xbits in range(1, 1 << g.m):
-        low = xbits & -xbits
-        col_edge_or[xbits] = col_edge_or[xbits ^ low] | g.col_edges[low.bit_length()]
-    for xbits in range(1 << g.m):
-        colmask = col_edge_or[xbits]
-        xcount = xbits.bit_count()
-        for ybits in range(1 << g.n):
-            size = xcount + ybits.bit_count()
-            if size == 0 or size == total:
-                continue
-            rowmask = row_edge_or[ybits]
-            if colmask & ~rowmask:
-                continue
-            plus = rowmask & ~colmask
-            if plus not in out:
-                out[plus] = MixedSubset(
-                    SideSubset("X", xbits, g.m), SideSubset("Y", ybits, g.n)
-                )
-    return [
-        DirectedCut(src, _mask_to_edges(g, mask))
-        for mask, src in sorted(out.items())
-    ]
-
-
-def max_disjoint_directed_cuts(g: BipartiteGraph) -> tuple[int, tuple[DirectedCut, ...]]:
-    """Size and witness of a maximum family of pairwise disjoint directed
-    cuts; TooLarge past MAX_CUT_NODES, from all_directed_cuts."""
-    cuts = all_directed_cuts(g)
-    masks = []
-    for cut in cuts:
-        mask = 0
-        for idx, e in enumerate(g.edge_list):
-            if e in cut.edges:
-                mask |= 1 << idx
-        masks.append(mask)
-    order = sorted(range(len(cuts)), key=lambda k: (masks[k].bit_count(), masks[k]))
-    cand_masks = [masks[k] for k in order]
-    cand_cuts = [cuts[k] for k in order]
-    base = row_cuts(g) if g.n >= g.m else column_cuts(g)
-    best = [len(base), tuple(base)]
-    total_edges = len(g.edge_list)
-    min_size = cand_masks[0].bit_count() if cand_masks else 1
-
-    def search(idx: int, used: int, chosen: list[DirectedCut]):
-        free = total_edges - used.bit_count()
-        if len(chosen) + min(len(cand_masks) - idx, free // max(min_size, 1)) <= best[0]:
-            return
-        for k in range(idx, len(cand_masks)):
-            mask = cand_masks[k]
-            if mask & used:
-                continue
-            chosen.append(cand_cuts[k])
-            if len(chosen) > best[0]:
-                best[0] = len(chosen)
-                best[1] = tuple(chosen)
-            search(k + 1, used | mask, chosen)
-            chosen.pop()
-
-    search(0, 0, [])
-    return best[0], best[1]

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bigraph import build_graph, max_disjoint_directed_cuts
+from .bigraph import rook_number
 from .errors import (
     ConsistencyError,
     DecompositionFailed,
@@ -38,6 +38,7 @@ from .polyomino import (
     mirror,
     parse,
     serialize,
+    transpose,
 )
 from .srcomplex import build_complex, facets, hilbert_numerator
 from .toric import inner_minors, leading_term, mono_str, var_str, variable_order, verify_groebner
@@ -160,8 +161,6 @@ def cmd_invariants(p: Polyomino, args) -> int:
     """Print a-invariant, regularity, multiplicity, h-vector."""
     rep = full_report(p)
     if args.oracle and is_stack(p):
-        from .polyomino import transpose
-
         q = transpose(p)
         if is_stack(q):
             flipped = multiplicity_recursive(q)
@@ -179,10 +178,13 @@ def cmd_invariants(p: Polyomino, args) -> int:
         h = _budgeted(hilbert_numerator, build_complex(p))
         if h is not None and h != rep.h_vector:
             raise ConsistencyError(f"recursion h-vector {rep.h_vector} vs complex {h}")
-        cuts = _budgeted(max_disjoint_directed_cuts, build_graph(p))
-        if cuts is not None and cuts[0] != -rep.a_invariant:
+        # -a = d - r(P), the paper's directed-cut packing number, by a
+        # polynomial matching
+        rooks = rook_number(p)
+        if rooks != rep.regularity:
             raise ConsistencyError(
-                f"max disjoint directed cuts {cuts[0]} vs -a = {-rep.a_invariant}"
+                f"d - r(P) = {rep.d - rooks} from the rook number {rooks} "
+                f"vs -a = {-rep.a_invariant}"
             )
     if args.json:
         _emit_json(rep.to_dict())

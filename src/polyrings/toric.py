@@ -22,8 +22,7 @@ Each layer costs about one operation per minor or per S-pair it reports:
 - Leading terms. The diagonal and antidiagonal are disjoint squarefree
   quadratics, and under revlex the smaller of the two is the one that
   holds the lowest-ranked of the four variables. So a leading term is
-  read off four rank positions; VarOrder.revlex_less is the general
-  comparison of equal-degree monomials.
+  read off four rank positions.
 - Groebner check. Buchberger's criterion, with S-pairs of coprime
   leading terms skipped. Generators are indexed by the variables of
   their leading terms, so only pairs that share a variable are visited,
@@ -83,21 +82,6 @@ class VarOrder:
 
     def smallest(self) -> Variable:
         return self.ranked[-1]
-
-    def revlex_less(self, a: Iterable[Variable], b: Iterable[Variable]) -> bool:
-        """a < b in revlex; a and b are equal-degree variable multisets."""
-        ca: dict[Variable, int] = {}
-        cb: dict[Variable, int] = {}
-        for v in a:
-            ca[v] = ca.get(v, 0) + 1
-        for v in b:
-            cb[v] = cb.get(v, 0) + 1
-        for v in reversed(self.ranked):
-            ea = ca.get(v, 0)
-            eb = cb.get(v, 0)
-            if ea != eb:
-                return ea > eb
-        return False
 
     def __repr__(self):
         tag = ", advisory" if self.advisory else ""

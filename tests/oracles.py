@@ -232,6 +232,17 @@ def brute_face_counts(facet_list):
     return tuple(counts)
 
 
+def brute_deltas(vs, tx, ty):
+    """(delta+(T), delta-(T)) for T = {x_i : i in tx} u {y_j : j in ty}
+    over the vertex set vs: the edges (i, j) with x_i outside T and y_j
+    inside, and those with x_i inside and y_j outside. T is the source
+    of a directed cut when it is proper, nonempty and delta-(T) is
+    empty; the cut is then delta+(T)."""
+    plus = frozenset((i, j) for i, j in vs if i not in tx and j in ty)
+    minus = frozenset((i, j) for i, j in vs if i in tx and j not in ty)
+    return plus, minus
+
+
 def brute_directed_cuts(p):
     """Distinct directed-cut edge sets by sweeping all (Tx, Ty) pairs."""
     vs = vertex_set(p)
@@ -242,21 +253,13 @@ def brute_directed_cuts(p):
     cuts = set()
     for kx in range(m + 1):
         for tx in combinations(xs, kx):
-            txs = set(tx)
             for ky in range(n + 1):
+                if kx + ky in (0, m + n):
+                    continue
                 for ty in combinations(ys, ky):
-                    tys = set(ty)
-                    if not (txs or tys):
-                        continue
-                    if txs == set(xs) and tys == set(ys):
-                        continue
-                    minus = {(i, j) for i, j in vs if i in txs and j not in tys}
-                    if minus:
-                        continue
-                    plus = frozenset(
-                        (i, j) for i, j in vs if i not in txs and j in tys
-                    )
-                    cuts.add(plus)
+                    plus, minus = brute_deltas(vs, set(tx), set(ty))
+                    if not minus:
+                        cuts.add(plus)
     return cuts
 
 

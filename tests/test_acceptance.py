@@ -14,19 +14,14 @@ import pytest
 from polyrings.bigraph import (
     MixedSubset,
     build_graph,
-    delta_minus,
-    delta_plus,
     hall_violator,
     has_perfect_matching,
     induced_connected,
-    is_directed_cut,
     is_neighbor_horizontal_interval,
     is_neighbor_vertical_interval,
     is_two_connected,
-    max_disjoint_directed_cuts,
     neighbors_x,
     neighbors_y,
-    row_cuts,
 )
 from polyrings.errors import BadParameters
 from polyrings.gorenstein import (
@@ -57,7 +52,13 @@ from polyrings.srcomplex import (
     transport_facet_inverse,
 )
 from polyrings.toric import initial_ideal, mono_str, variable_order, verify_groebner
-from oracles import brute_perfect_matching
+from oracles import (
+    brute_deltas,
+    brute_directed_cuts,
+    brute_max_disjoint_cuts,
+    brute_perfect_matching,
+    vertex_set,
+)
 from pool import CONVEX_FIXTURES, STACK_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
 
@@ -164,17 +165,21 @@ def test_criterion_05_reg_and_a_closed_forms():
 def test_criterion_06():
     """fig13: cut packing 4 via the row family, a = -4, printed cut examples."""
     p = fx("fig13")
-    g = build_graph(p)
-    count, family = max_disjoint_directed_cuts(g)
-    assert count == 4
-    assert {c.edges for c in family} == {c.edges for c in row_cuts(g)}
+    vs = vertex_set(p)
+    # the row family: delta+ of the vertices of each level, each a
+    # directed cut by definition (proper source, delta- empty), pairwise
+    # disjoint, and a packing of the maximum size
+    rows = [brute_deltas(vs, set(), {j}) for j in range(1, p.n + 1)]
+    assert all(plus and not minus for plus, minus in rows)
+    assert all(not (a & b) for (a, _), (b, _) in combinations(rows, 2))
+    assert brute_max_disjoint_cuts(p) == len(rows) == 4
     assert invariants_from_complex(complex_of(p)).a_invariant == -4
-    t1 = g.mixed([3], [2, 3])
-    assert delta_minus(g, t1) == frozenset({(3, 1)})
-    assert not is_directed_cut(g, t1)
-    t2 = g.mixed([3], [1, 2])
-    assert is_directed_cut(g, t2)
-    assert delta_plus(g, t2) == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    _, minus1 = brute_deltas(vs, {3}, {2, 3})
+    assert minus1 == frozenset({(3, 1)})  # {x3, y2, y3} is no cut
+    plus2, minus2 = brute_deltas(vs, {3}, {1, 2})
+    assert not minus2  # {x3, y1, y2} is a cut
+    assert plus2 == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    assert plus2 in brute_directed_cuts(p)
 
 
 def test_criterion_07():
@@ -187,6 +192,7 @@ def test_criterion_08():
     shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
     for p in shapes:
         g = build_graph(p)
+        vs = vertex_set(p)
         assert is_two_connected(g)
         assert (
             has_perfect_matching(g)
@@ -214,9 +220,7 @@ def test_criterion_08():
                     and is_neighbor_horizontal_interval(g, u)
                 )
                 residual = MixedSubset(ts.complement(), u)
-                has_edge = any(
-                    i in residual.tx and j in residual.ty for i, j in g.edge_list
-                )
+                has_edge = any(i in residual.tx and j in residual.ty for i, j in vs)
                 assert lhs == (has_edge and induced_connected(g, residual))
 
 

@@ -1,33 +1,24 @@
 from itertools import combinations
 
-import pytest
-
 from polyrings.bigraph import (
-    MAX_CUT_NODES,
     MixedSubset,
-    all_directed_cuts,
     build_graph,
-    column_cuts,
-    delta_minus,
-    delta_plus,
-    directed_cut,
     hall_violator,
     has_perfect_matching,
     induced_connected,
-    is_directed_cut,
     is_neighbor_horizontal_interval,
     is_neighbor_vertical_interval,
     is_two_connected,
-    max_disjoint_directed_cuts,
     max_matching,
     neighbors_x,
     neighbors_y,
-    row_cuts,
+    rook_number,
 )
-from polyrings.errors import TooLarge
+from polyrings.invariants import full_report
 from polyrings.polyomino import Polyomino
 from polyrings.srcomplex import invariants_from_complex
 from oracles import (
+    brute_deltas,
     brute_directed_cuts,
     brute_max_disjoint_cuts,
     brute_perfect_matching,
@@ -43,22 +34,33 @@ from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 SMALL_FIXTURES = ("single_cell", "ex1", "ex3", "fig13", "figb", "fig9", "vertical")
 
 
+def edges_of(g):
+    """The edge set as read from adj_x, after checking adj_y agrees."""
+    pairs = [(i, j) for i in range(1, g.m + 1) for j in range(1, g.n + 1)]
+    by_x = {(i, j) for i, j in pairs if g.adj_x[i] >> (j - 1) & 1}
+    by_y = {(i, j) for i, j in pairs if g.adj_y[j] >> (i - 1) & 1}
+    assert by_x == by_y
+    return by_x
+
+
 def test_single_cell_is_complete_2x2():
     g = build_graph(fx("single_cell"))
     assert (g.m, g.n) == (2, 2)
-    assert set(g.edge_list) == {(1, 1), (1, 2), (2, 1), (2, 2)}
+    assert edges_of(g) == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
 def test_fig13_has_ten_edges():
     g = build_graph(fx("fig13"))
     assert (g.m, g.n) == (3, 4)
-    assert len(g.edge_list) == 10
+    assert len(edges_of(g)) == 10
 
 
 def test_incidence_equals_vertex_set():
     for name in CONVEX_FIXTURES:
         p = fx(name)
-        assert set(build_graph(p).edge_list) == vertex_set(p), name
+        assert edges_of(build_graph(p)) == vertex_set(p), name
+    for p in convex_upto(7):
+        assert edges_of(build_graph(p)) == vertex_set(p)
 
 
 def test_every_line_has_at_least_two_vertices():
@@ -107,7 +109,7 @@ def test_fig6_residual_graphs():
     # residual keeps x4 and x5 with no y at all, hence no edges
     res2 = MixedSubset(t2.complement(), ny2.complement())
     assert res2.tx.indices() == (4, 5)
-    assert not any(j in res2.ty for _, j in g.edge_list)
+    assert not any(j in res2.ty for _, j in vertex_set(fx("fig6")))
     assert not induced_connected(g, res2)
 
 
@@ -144,6 +146,7 @@ def test_lemma_equivalences():
     shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
     for p in shapes:
         g = build_graph(p)
+        vs = vertex_set(p)
         for r in range(1, g.m):
             for t in combinations(range(1, g.m + 1), r):
                 ts = g.x_subset(t)
@@ -167,9 +170,7 @@ def test_lemma_equivalences():
                     and is_neighbor_horizontal_interval(g, u)
                 )
                 residual = MixedSubset(ts.complement(), u)
-                has_edge = any(
-                    i in residual.tx and j in residual.ty for i, j in g.edge_list
-                )
+                has_edge = any(i in residual.tx and j in residual.ty for i, j in vs)
                 rhs = has_edge and induced_connected(g, residual)
                 assert lhs == rhs
 
@@ -183,12 +184,13 @@ def test_two_connected():
 
 def test_fig9_perfect_matching():
     g = build_graph(fx("fig9"))
+    vs = vertex_set(fx("fig9"))
     assert has_perfect_matching(g)
     witness = {(1, 1), (2, 2), (3, 4), (4, 3)}
-    assert witness <= set(g.edge_list)
+    assert witness <= vs
     mm = max_matching(g)
     assert len(mm) == 4
-    assert all((i, j) in set(g.edge_list) for i, j in mm.items())
+    assert all((i, j) in vs for i, j in mm.items())
 
 
 def test_unequal_sides_never_match():
@@ -234,101 +236,89 @@ def test_hall_violator_is_violating():
 
 
 def test_fig13_cut_examples():
-    g = build_graph(fx("fig13"))
-    t1 = g.mixed([3], [2, 3])
-    assert delta_minus(g, t1) == frozenset({(3, 1)})
-    assert not is_directed_cut(g, t1)
-    t2 = g.mixed([3], [1, 2])
-    assert delta_plus(g, t2) == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
-    assert delta_minus(g, t2) == frozenset()
-    assert is_directed_cut(g, t2)
-    with pytest.raises(ValueError):
-        directed_cut(g, t1)
-
-
-def test_whole_vertex_set_is_not_a_cut():
-    g = build_graph(fx("fig13"))
-    t = g.mixed(range(1, g.m + 1), range(1, g.n + 1))
-    assert not is_directed_cut(g, t)
-    assert not is_directed_cut(g, g.mixed([], []))
+    p = fx("fig13")
+    vs = vertex_set(p)
+    _, minus1 = brute_deltas(vs, {3}, {2, 3})
+    assert minus1 == frozenset({(3, 1)})  # so {x3, y2, y3} is no cut
+    plus2, minus2 = brute_deltas(vs, {3}, {1, 2})
+    assert plus2 == frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+    assert minus2 == frozenset()
+    assert plus2 in brute_directed_cuts(p)
 
 
 def test_cut_criterion_matches_definition():
-    # delta-(T) empty iff N_Y(T^x) inside T^y, for proper nonempty T
-    for name in SMALL_FIXTURES:
-        g = build_graph(fx(name))
-        for xb in range(1 << g.m):
-            for yb in range(1 << g.n):
-                t = MixedSubset.from_indices(
-                    [i + 1 for i in range(g.m) if xb >> i & 1],
-                    [j + 1 for j in range(g.n) if yb >> j & 1],
-                    g.m,
-                    g.n,
-                )
-                proper = 0 < len(t) < g.m + g.n
-                by_def = proper and not delta_minus(g, t)
-                by_lemma = proper and not (
-                    neighbors_y(g, t.tx).bits & ~t.ty.bits
-                )
-                assert is_directed_cut(g, t) == by_def == by_lemma
-
-
-def test_all_directed_cuts_against_oracle():
+    # delta-(T) empty iff N_Y(T^x) inside T^y
     for name in SMALL_FIXTURES:
         p = fx(name)
-        got = {c.edges for c in all_directed_cuts(build_graph(p))}
-        assert got == brute_directed_cuts(p), name
+        vs = vertex_set(p)
+        g = build_graph(p)
+        for xb in range(1 << g.m):
+            tx = g.x_subset([i + 1 for i in range(g.m) if xb >> i & 1])
+            ny = neighbors_y(g, tx).bits
+            for yb in range(1 << g.n):
+                ty = g.y_subset([j + 1 for j in range(g.n) if yb >> j & 1])
+                _, minus = brute_deltas(vs, set(tx), set(ty))
+                assert (not minus) == (not ny & ~ty.bits), (name, xb, yb)
+
+
+def row_family(p):
+    """delta+({y_j}) for every level j: the cut of each level's vertices."""
+    vs = vertex_set(p)
+    return [brute_deltas(vs, set(), {j}) for j in range(1, p.n + 1)]
+
+
+def column_family(p):
+    """delta+((X minus x_i) u Y) for every column i."""
+    vs = vertex_set(p)
+    xs, ys = set(range(1, p.m + 1)), set(range(1, p.n + 1))
+    return [brute_deltas(vs, xs - {i}, ys) for i in range(1, p.m + 1)]
+
+
+def assert_packing(family):
+    """Each member is a directed cut by definition (its source is
+    proper and nonempty by construction), and no two share an edge."""
+    assert all(plus and not minus for plus, minus in family)
+    for (a, _), (b, _) in combinations(family, 2):
+        assert not (a & b)
 
 
 def test_row_and_column_cut_families():
     for p in list(stacks_upto(8)) + [fx("fig11")]:
-        g = build_graph(p)
-        rows = row_cuts(g)
-        cols = column_cuts(g)
-        assert len(rows) == g.n and len(cols) == g.m
-        for fam in (rows, cols):
-            for c in fam:
-                assert is_directed_cut(g, MixedSubset(c.source.tx, c.source.ty))
-            for a, b in combinations(fam, 2):
-                assert not (a.edges & b.edges)
+        rows, cols = row_family(p), column_family(p)
+        assert len(rows) == p.n and len(cols) == p.m
+        assert_packing(rows)
+        assert_packing(cols)
 
 
 def test_fig13_max_cuts_is_the_row_family():
-    g = build_graph(fx("fig13"))
-    count, family = max_disjoint_directed_cuts(g)
-    assert count == 4
-    assert {c.edges for c in family} == {c.edges for c in row_cuts(g)}
+    p = fx("fig13")
+    rows = row_family(p)
+    assert brute_max_disjoint_cuts(p) == len(rows) == 4
+    assert_packing(rows)
 
 
 def test_single_cell_max_cuts():
-    assert max_disjoint_directed_cuts(build_graph(fx("single_cell")))[0] == 2
+    assert brute_max_disjoint_cuts(fx("single_cell")) == 2
 
 
 def test_max_cuts_against_oracle_and_complex():
-    # the true identity: the packing number equals -a from the facet complex
+    # the true identity: the packing number equals -a from the facet
+    # complex, and d - r(P), which invariants --oracle checks
     for p in stacks_upto(7):
-        g = build_graph(p)
-        count, family = max_disjoint_directed_cuts(g)
-        assert count == brute_max_disjoint_cuts(p)
-        used = set()
-        for c in family:
-            assert not (c.edges & used)
-            used |= c.edges
         inv = invariants_from_complex(complex_of(p))
-        assert count == -inv.a_invariant
+        d = p.m + p.n - 1
+        assert brute_max_disjoint_cuts(p) == -inv.a_invariant == d - rook_number(p)
 
 
 def test_max_cuts_can_beat_the_box_bound():
     # packing 6 disjoint cuts on a 5x4 box: the max{m,n} prediction fails here
-    g = build_graph(fx("figb"))
-    count, _ = max_disjoint_directed_cuts(g)
-    assert count == 6
-    assert count > max(g.m, g.n)
+    p = fx("figb")
+    assert (p.m, p.n) == (5, 4)
+    assert brute_max_disjoint_cuts(p) == 6 > max(p.m, p.n)
 
 
-def test_max_cuts_size_guard():
-    wide = build_graph(Polyomino([(c, 1) for c in range(1, 14)]))
-    assert wide.m + wide.n == 16 > MAX_CUT_NODES == 14
-    for sweep in (all_directed_cuts, max_disjoint_directed_cuts):
-        with pytest.raises(TooLarge, match="exceeds the cut sweep limit 14"):
-            sweep(wide)
+def test_rook_number_is_the_regularity_of_every_small_stack():
+    stacks = stacks_upto(12)
+    assert len(stacks) == 1364
+    for p in stacks:
+        assert rook_number(p) == full_report(p).regularity, sorted(p.cells)

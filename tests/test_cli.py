@@ -281,6 +281,20 @@ def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypat
     assert run(capsys, "invariants", "--grid", grid, "--oracle") == (0, out, "")
 
 
+def test_invariants_oracle_checks_the_rook_number(capsys, monkeypatch):
+    # -a against d - r(P) on every stack: fig13 (m + n = 7) and a
+    # 45-vertex stack with m + n = 24, where no 2^(m+n) sweep could run
+    grid = ".##" + "." * 17 + "\\n" + "#" * 20
+    real = cli.rook_number
+    for source in ([path("fig13")], ["--grid", grid]):
+        rc, _, err = run(capsys, "invariants", *source, "--oracle")
+        assert (rc, err) == (0, "")
+        monkeypatch.setattr(cli, "rook_number", lambda p: real(p) + 1)
+        rc, _, err = run(capsys, "invariants", *source, "--oracle")
+        assert rc == 2 and "rook number" in err
+        monkeypatch.setattr(cli, "rook_number", real)
+
+
 def test_unknown_command_exits_1(capsys):
     rc = main(["frobnicate", "--grid", "#"])
     capsys.readouterr()

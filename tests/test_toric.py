@@ -138,18 +138,6 @@ def test_lead_and_trail_partition_the_minor():
             assert {lead, trail} == {m.diagonal, m.antidiagonal}
 
 
-def test_revlex_agrees_with_generic_oracle():
-    for name in ("ex1", "ex3", "figb", "fig13", "fig9", "ex6"):
-        p = fx(name)
-        o = variable_order(p)
-        for m in inner_minors(p):
-            a = sorted(m.antidiagonal)
-            b = sorted(m.diagonal)
-            assert o.revlex_less(a, b) == generic_revlex_less(a, b, o.ranked)
-            assert o.revlex_less(b, a) == generic_revlex_less(b, a, o.ranked)
-            assert not o.revlex_less(a, a)
-
-
 def test_ex1_initial_ideal():
     ii = initial_ideal(fx("ex1"))
     assert {mono_str(t) for t in ii.generators} == {
@@ -248,7 +236,10 @@ def assert_terms_match_generic_revlex(p, o):
 
 
 def test_terms_match_generic_revlex_on_small_stacks():
-    for p in stacks_upto(9):
+    # and on the worked examples, two of them (fig9, ex6) non-stacks
+    # under their advisory order
+    examples = [fx(name) for name in ("ex1", "ex3", "figb", "fig13", "fig9", "ex6")]
+    for p in examples + list(stacks_upto(9)):
         assert_terms_match_generic_revlex(p, variable_order(p))
 
 
