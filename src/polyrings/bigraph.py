@@ -16,25 +16,40 @@ whose 2^(m+n) sweep lives in the tests' oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .polyomino import Polyomino
 
 
-@dataclass(frozen=True)
 class SideSubset:
-    """Subset of X or Y as a bit set of the given width."""
+    """Immutable subset of X or Y as a bit set of the given width; equal
+    to another SideSubset with the same side, bits and width."""
 
-    side: str
-    bits: int
-    width: int
+    __slots__ = ("side", "bits", "width")
 
-    def __post_init__(self):
-        if self.side not in ("X", "Y"):
-            raise ValueError(f"side must be 'X' or 'Y', not {self.side!r}")
-        if self.width < 0 or self.bits < 0 or self.bits >> self.width:
+    def __init__(self, side: str, bits: int, width: int):
+        if side not in ("X", "Y"):
+            raise ValueError(f"side must be 'X' or 'Y', not {side!r}")
+        if width < 0 or bits < 0 or bits >> width:
             raise ValueError("bits outside the declared width")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "width", width)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SideSubset is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SideSubset)
+            and (self.side, self.bits, self.width) == (other.side, other.bits, other.width)
+        )
+
+    def __hash__(self):
+        return hash((self.side, self.bits, self.width))
+
+    def __repr__(self):
+        return f"SideSubset(side={self.side!r}, bits={self.bits!r}, width={self.width!r})"
 
     @classmethod
     def from_indices(cls, side: str, indices, width: int) -> "SideSubset":
@@ -65,16 +80,29 @@ class SideSubset:
         return "{" + ",".join(f"{tag}{i}" for i in self.indices()) + "}"
 
 
-@dataclass(frozen=True)
 class MixedSubset:
-    """Subset of X u Y given by one bit set per side."""
+    """Immutable subset of X u Y given by one bit set per side; equal to
+    another MixedSubset with equal parts."""
 
-    tx: SideSubset
-    ty: SideSubset
+    __slots__ = ("tx", "ty")
 
-    def __post_init__(self):
-        if self.tx.side != "X" or self.ty.side != "Y":
+    def __init__(self, tx: SideSubset, ty: SideSubset):
+        if tx.side != "X" or ty.side != "Y":
             raise ValueError("MixedSubset needs an X part and a Y part")
+        object.__setattr__(self, "tx", tx)
+        object.__setattr__(self, "ty", ty)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MixedSubset is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, MixedSubset) and self.tx == other.tx and self.ty == other.ty
+
+    def __hash__(self):
+        return hash((self.tx, self.ty))
+
+    def __repr__(self):
+        return f"MixedSubset(tx={self.tx!r}, ty={self.ty!r})"
 
     def __len__(self) -> int:
         return len(self.tx) + len(self.ty)

@@ -33,9 +33,9 @@ square box).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
+from typing import NamedTuple
 
 from .bigraph import (
     BipartiteGraph,
@@ -52,8 +52,7 @@ from .errors import NotConvex, NotStack
 from .polyomino import Polyomino, cells_at_or_above, corners, heights, is_convex, is_stack
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Why the ring fails: kind 'hall' needs |N(T)| >= required = |T|,
     kind 'cardinality' needs |N_Y(T)| == required = |T| + 1."""
 
@@ -69,16 +68,14 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """An admissible T that passed, together with N_Y(T)."""
 
     subset: SideSubset
     neighbors: SideSubset
 
 
-@dataclass(frozen=True)
-class GorensteinVerdict:
+class GorensteinVerdict(NamedTuple):
     gorenstein: bool
     violation: Violation | None
     certificates: tuple[Certificate, ...]
@@ -202,8 +199,7 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     return GorensteinVerdict(True, None, tuple(certs), "convex")
 
 
-@dataclass(frozen=True)
-class SubsetProfile:
+class SubsetProfile(NamedTuple):
     """How a single column set T fares against the criterion's conditions.
 
     vertical_interval: N_Y(T) is a neighbor vertical interval.

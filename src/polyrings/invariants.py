@@ -51,9 +51,9 @@ them, the smallest case being the 5-cell stack with vertex heights
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .errors import (
     BadParameters,
@@ -124,8 +124,7 @@ def _exact_pair(p: Polyomino) -> tuple[int, int]:
     return reg - (p.m + p.n - 1), reg
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Distinguished vertex v plus the two smaller stacks P1 and P2."""
 
     v: tuple[int, int]
@@ -324,18 +323,46 @@ def multiplicity_ladder(m: int, n: int, ks) -> int:
     return _ladder_value(m, n, tuple(int(k) for k in ks), {})
 
 
-@dataclass(eq=False)
 class InvariantReport:
-    m: int
-    n: int
-    d: int
-    a_invariant: int | None
-    regularity: int | None
-    multiplicity: int | None
-    h_vector: tuple[int, ...] | None
-    gorenstein: bool
-    methods: dict[str, str]
-    notes: tuple[str, ...] = ()
+    """full_report's result: the values, with a method tag per value in
+    methods and the reasons for gaps and bound mismatches in notes.
+
+    Compared by identity; to_dict gives the fields as plain JSON data.
+    """
+
+    __slots__ = (
+        "m", "n", "d", "a_invariant", "regularity", "multiplicity",
+        "h_vector", "gorenstein", "methods", "notes",
+    )
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        d: int,
+        a_invariant: int | None,
+        regularity: int | None,
+        multiplicity: int | None,
+        h_vector: tuple[int, ...] | None,
+        gorenstein: bool,
+        methods: dict[str, str],
+        notes: tuple[str, ...] = (),
+    ):
+        self.m = m
+        self.n = n
+        self.d = d
+        self.a_invariant = a_invariant
+        self.regularity = regularity
+        self.multiplicity = multiplicity
+        self.h_vector = h_vector
+        self.gorenstein = gorenstein
+        self.methods = methods
+        self.notes = notes
+
+    def __repr__(self):
+        return "InvariantReport(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        ) + ")"
 
     def to_dict(self) -> dict:
         return {

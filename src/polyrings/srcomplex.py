@@ -40,8 +40,8 @@ frozenset is built once, from its mask, by _members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from .polyomino import Polyomino, heights
@@ -55,29 +55,50 @@ MAX_DP_ENTRIES = 200_000
 MAX_FACETS = 50_000
 
 
-@dataclass(eq=False)
 class FlagComplex:
-    poly: Polyomino
-    order: VarOrder
-    vertices: tuple[Variable, ...]
-    forbidden: frozenset[Facet]
-    d: int
-    _index: dict = field(default_factory=dict, repr=False)
-    _adj: tuple = field(default=(), repr=False)
-    _facets: tuple | None = field(default=None, repr=False)
-    _counts: tuple | None = field(default=None, repr=False)
-    _links: dict = field(default_factory=dict, repr=False)
-    _poset: tuple | None = field(default=None, repr=False)  # () once refuted
+    """The flag complex on vertices with the given forbidden pairs.
 
-    def __post_init__(self):
-        self._index = {v: k for k, v in enumerate(self.vertices)}
-        adj = [0] * len(self.vertices)
-        for pair in self.forbidden:
+    Compared by identity: the underscored slots are the adjacency masks
+    built here and the caches that facets, f_vector, _rank_poset and
+    the link helpers fill on first use.
+    """
+
+    __slots__ = (
+        "poly", "order", "vertices", "forbidden", "d",
+        "_index", "_adj", "_facets", "_counts", "_links", "_poset",
+    )
+
+    def __init__(
+        self,
+        poly: Polyomino,
+        order: VarOrder,
+        vertices: tuple[Variable, ...],
+        forbidden: frozenset[Facet],
+        d: int,
+    ):
+        self.poly = poly
+        self.order = order
+        self.vertices = vertices
+        self.forbidden = forbidden
+        self.d = d
+        self._index = {v: k for k, v in enumerate(vertices)}
+        adj = [0] * len(vertices)
+        for pair in forbidden:
             a, b = sorted(pair)
             ia, ib = self._index[a], self._index[b]
             adj[ia] |= 1 << ib
             adj[ib] |= 1 << ia
         self._adj = tuple(adj)
+        self._facets = None
+        self._counts = None
+        self._links = {}
+        self._poset = None  # () once refuted
+
+    def __repr__(self):
+        return (
+            f"FlagComplex(poly={self.poly!r}, order={self.order!r}, "
+            f"vertices={self.vertices!r}, forbidden={self.forbidden!r}, d={self.d!r})"
+        )
 
 
 def build_complex(p: Polyomino, order: VarOrder | None = None) -> FlagComplex:
@@ -385,8 +406,7 @@ def hilbert_numerator(c: FlagComplex) -> tuple[int, ...]:
     return tuple(q)
 
 
-@dataclass(frozen=True)
-class ComplexInvariants:
+class ComplexInvariants(NamedTuple):
     multiplicity: int
     regularity: int
     a_invariant: int

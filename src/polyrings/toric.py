@@ -41,7 +41,6 @@ verify_groebner raise BadParameters otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadParameters, ConsistencyError, GroebnerUnverified
@@ -103,8 +102,9 @@ def variable_order(p: Polyomino) -> VarOrder:
 class InnerMinor(NamedTuple):
     """Corners (i, j) < (k, l) with every cell of the interval inside P.
 
-    A NamedTuple, since inner_minors builds one per minor and a tuple
-    is the cheapest immutable record to build.
+    A plain value record, so a NamedTuple (see the package docstring);
+    inner_minors builds one per minor, and a tuple is also the cheapest
+    immutable record to build.
     """
 
     i: int
@@ -217,13 +217,32 @@ def _minor_terms(
     return order, minors, [_terms(mn, pos) for mn in minors]
 
 
-@dataclass(frozen=True, eq=False)
 class InitialIdeal:
-    """Squarefree quadratic generators of in(I_P) plus the order used."""
+    """Squarefree quadratic generators of in(I_P) plus the order used.
 
-    generators: frozenset[frozenset[Variable]]
-    order: VarOrder
-    minors: tuple[InnerMinor, ...]
+    Immutable, and compared by identity.
+    """
+
+    __slots__ = ("generators", "order", "minors")
+
+    def __init__(
+        self,
+        generators: frozenset[frozenset[Variable]],
+        order: VarOrder,
+        minors: tuple[InnerMinor, ...],
+    ):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "minors", minors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InitialIdeal is immutable")
+
+    def __repr__(self):
+        return (
+            f"InitialIdeal(generators={self.generators!r}, order={self.order!r}, "
+            f"minors={self.minors!r})"
+        )
 
 
 def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
