@@ -47,15 +47,9 @@ from .polyomino import (
 )
 from .bigraph import (
     BipartiteGraph,
-    MixedSubset,
     SideSubset,
     build_graph,
     hall_violator,
-    has_perfect_matching,
-    induced_connected,
-    is_neighbor_horizontal_interval,
-    is_neighbor_vertical_interval,
-    is_two_connected,
     max_matching,
     neighbors_x,
     neighbors_y,
@@ -64,12 +58,10 @@ from .bigraph import (
 from .gorenstein import (
     Certificate,
     GorensteinVerdict,
-    SubsetProfile,
     Violation,
     is_gorenstein_convex,
     is_gorenstein_stack_corners,
     is_gorenstein_stack_subsets,
-    subset_profile,
 )
 from .toric import (
     InitialIdeal,

@@ -4,6 +4,10 @@ X carries one node per vertex column (x_1..x_m), Y one per vertex level
 (y_1..y_n), and (i, j) is an edge exactly when the lattice point (i, j)
 is a corner of some cell. Subsets of a side are bit sets of the side's
 width (Python ints, so any width), bit i-1 standing for x_i (or y_i).
+The paper's interval criterion on this graph runs in gorenstein.py as
+one scan over these masks; its per-subset interval, pull-back and
+connectivity conditions are written out on plain sets only in the
+tests' oracles.
 
 One matching routine (Kuhn's augmenting paths) serves two questions:
 the perfect matchings and Hall violators of this graph, and the rook
@@ -15,8 +19,6 @@ whose 2^(m+n) sweep lives in the tests' oracles.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .polyomino import Polyomino
 
@@ -63,53 +65,12 @@ class SideSubset:
     def indices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.width) if self.bits >> i & 1)
 
-    def complement(self) -> "SideSubset":
-        return SideSubset(self.side, ~self.bits & ((1 << self.width) - 1), self.width)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def __contains__(self, i: int) -> bool:
-        return 1 <= i <= self.width and bool(self.bits >> (i - 1) & 1)
 
     def __str__(self) -> str:
         tag = self.side.lower()
         return "{" + ",".join(f"{tag}{i}" for i in self.indices()) + "}"
-
-
-class MixedSubset:
-    """Immutable subset of X u Y given by one bit set per side; equal to
-    another MixedSubset with equal parts."""
-
-    __slots__ = ("tx", "ty")
-
-    def __init__(self, tx: SideSubset, ty: SideSubset):
-        if tx.side != "X" or ty.side != "Y":
-            raise ValueError("MixedSubset needs an X part and a Y part")
-        object.__setattr__(self, "tx", tx)
-        object.__setattr__(self, "ty", ty)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedSubset is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, MixedSubset) and self.tx == other.tx and self.ty == other.ty
-
-    def __hash__(self):
-        return hash((self.tx, self.ty))
-
-    def __repr__(self):
-        return f"MixedSubset(tx={self.tx!r}, ty={self.ty!r})"
-
-    def __len__(self) -> int:
-        return len(self.tx) + len(self.ty)
-
-    def __str__(self) -> str:
-        parts = [f"x{i}" for i in self.tx.indices()] + [f"y{j}" for j in self.ty.indices()]
-        return "{" + ",".join(parts) + "}"
 
 
 class BipartiteGraph:
@@ -176,80 +137,6 @@ def _contiguous(bits: int) -> bool:
     return bits & (bits + (bits & -bits)) == 0
 
 
-def _neighbor_interval(bits: int, adj, step) -> bool:
-    """The neighbours of a bit set form a contiguous run whose every step
-    is witnessed by a member: the shared core of both interval tests."""
-    nbits = _or_rows(bits, adj)
-    return _contiguous(nbits) and (nbits & nbits >> 1) & ~_or_rows(bits, step) == 0
-
-
-def is_neighbor_vertical_interval(g: BipartiteGraph, t: SideSubset) -> bool:
-    """N_Y(T) is a contiguous run of levels, each step witnessed inside T.
-
-    The step between consecutive levels j, j+1 needs some x in T whose
-    vertical lattice edge from (x, j) to (x, j+1) lies on a cell of P.
-    A single level passes vacuously.
-    """
-    if t.side != "X" or t.bits == 0:
-        raise ValueError("need a nonempty X subset")
-    return _neighbor_interval(t.bits, g.adj_x, g.vstep)
-
-
-def is_neighbor_horizontal_interval(g: BipartiteGraph, u: SideSubset) -> bool:
-    """N_X(U) is a contiguous run of columns, each step witnessed inside U."""
-    if u.side != "Y" or u.bits == 0:
-        raise ValueError("need a nonempty Y subset")
-    return _neighbor_interval(u.bits, g.adj_y, g.hstep)
-
-
-def _connected_parts(g: BipartiteGraph, xbits: int, ybits: int) -> int:
-    """Number of connected components induced by the given node masks."""
-    seen_x = 0
-    seen_y = 0
-    parts = 0
-    for start in range(g.m):
-        if xbits >> start & 1 and not seen_x >> start & 1:
-            parts += 1
-            comp_x = 1 << start
-            comp_y = 0
-            while True:
-                grow_y = _or_rows(comp_x, g.adj_x) & ybits
-                grow_x = _or_rows(comp_y | grow_y, g.adj_y) & xbits
-                if grow_y | comp_y == comp_y and grow_x | comp_x == comp_x:
-                    break
-                comp_y |= grow_y
-                comp_x |= grow_x
-            seen_x |= comp_x
-            seen_y |= comp_y
-    # leftover Y nodes have no induced neighbors, each is its own component
-    parts += (ybits & ~seen_y).bit_count()
-    return parts
-
-
-def induced_connected(g: BipartiteGraph, w: MixedSubset) -> bool:
-    """The subgraph induced by w is connected (and nonempty)."""
-    if len(w) == 0:
-        raise ValueError("need a nonempty vertex set")
-    return _connected_parts(g, w.tx.bits, w.ty.bits) == 1
-
-
-def is_two_connected(g: BipartiteGraph) -> bool:
-    """Connected, at least 3 nodes, and no cut vertex."""
-    if g.m + g.n < 3:
-        return False
-    full_x = (1 << g.m) - 1
-    full_y = (1 << g.n) - 1
-    if _connected_parts(g, full_x, full_y) != 1:
-        return False
-    for i in range(g.m):
-        if _connected_parts(g, full_x & ~(1 << i), full_y) != 1:
-            return False
-    for j in range(g.n):
-        if _connected_parts(g, full_x, full_y & ~(1 << j)) != 1:
-            return False
-    return True
-
-
 def _kuhn(adj, n: int) -> list[int]:
     """Maximum matching of nodes 1..len(adj)-1 into 1..n by Kuhn's
     augmenting paths, adj[i] bit j-1 standing for the edge (i, j); entry
@@ -297,10 +184,6 @@ def rook_number(p: Polyomino) -> int:
     for c, r in p.cells:
         rows[c] |= 1 << (r - 1)
     return sum(1 for i in _kuhn(rows, p.n - 1) if i)
-
-
-def has_perfect_matching(g: BipartiteGraph) -> bool:
-    return g.m == g.n and len(max_matching(g)) == g.m
 
 
 def hall_violator(g: BipartiteGraph) -> SideSubset | None:

@@ -23,6 +23,9 @@ the levels, so every OR the checks need joins a prefix OR to a suffix
 OR, built once per table. The scan thus costs a constant number of
 bit-set operations per interval, O(m^2 (m + n) / w) word operations for
 w-bit words, and the Hall gate one maximum matching.
+This scan is the package's one form of the convex criterion: the
+literal sweep over all 2^m column sets, each condition checked as
+written, is the oracle the tests compare it with.
 
 For stacks two shortcuts exist: the level-set test (m = n and every
 admissible column set T has |N_Y(T)| = |T| + 1) and the inside-corner
@@ -43,8 +46,6 @@ from .bigraph import (
     _contiguous,
     build_graph,
     hall_violator,
-    is_neighbor_horizontal_interval,
-    is_neighbor_vertical_interval,
     neighbors_x,
     neighbors_y,
 )
@@ -197,45 +198,6 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
             )
         certs.append(Certificate(t_sub, SideSubset("Y", nbits, n)))
     return GorensteinVerdict(True, None, tuple(certs), "convex")
-
-
-class SubsetProfile(NamedTuple):
-    """How a single column set T fares against the criterion's conditions.
-
-    vertical_interval: N_Y(T) is a neighbor vertical interval.
-    pullback_equal: N_X(Y \\ N_Y(T)) == X \\ T as sets.
-    horizontal_interval: N_X(Y \\ N_Y(T)) is a neighbor horizontal interval.
-    admissible: all three hold, so the cardinality rule applies.
-    cardinality_ok: |N_Y(T)| == |T| + 1 (None unless admissible).
-    """
-
-    subset: SideSubset
-    neighbors: SideSubset
-    vertical_interval: bool
-    pullback_equal: bool
-    horizontal_interval: bool
-    admissible: bool
-    cardinality_ok: bool | None
-
-
-def subset_profile(p: Polyomino, indices) -> SubsetProfile:
-    """Explain why one T passes or drops out of the convex criterion."""
-    g = build_graph(p)
-    t = g.x_subset(indices)
-    if not 0 < len(t) < g.m:
-        raise ValueError("T must be a nonempty proper subset of X")
-    ny = neighbors_y(g, t)
-    vert = is_neighbor_vertical_interval(g, t)
-    u = ny.complement()
-    if len(u):
-        nx = neighbors_x(g, u)
-        equal = nx.bits == t.complement().bits
-        horiz = is_neighbor_horizontal_interval(g, u)
-    else:
-        equal = horiz = False
-    admissible = vert and equal and horiz
-    card = len(ny) == len(t) + 1 if admissible else None
-    return SubsetProfile(t, ny, vert, equal, horiz, admissible, card)
 
 
 def is_gorenstein_stack_subsets(p: Polyomino) -> GorensteinVerdict:

@@ -76,9 +76,6 @@ class VarOrder:
         if len(self._pos) != len(self.ranked):
             raise ValueError("duplicate variable in order")
 
-    def position(self, v: Variable) -> int:
-        return self._pos[v]
-
     def smallest(self) -> Variable:
         return self.ranked[-1]
 

@@ -83,6 +83,27 @@ def horizontal_interval(p, u):
     return True
 
 
+def induced_connected(vs, tx, ty):
+    """The subgraph of the vertex graph induced by the nodes x_i for i in
+    tx and y_j for j in ty is nonempty and connected, by a search from
+    one node along the edges (i, j) of vs with both ends kept."""
+    nodes = {("x", i) for i in tx} | {("y", j) for j in ty}
+    if not nodes:
+        return False
+    adj = {v: set() for v in nodes}
+    for i, j in vs:
+        if i in tx and j in ty:
+            adj[("x", i)].add(("y", j))
+            adj[("y", j)].add(("x", i))
+    todo = [next(iter(nodes))]
+    seen = set(todo)
+    while todo:
+        for w in adj[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return seen == nodes
+
+
 def brute_gorenstein_convex(p):
     """Literal sweep of every nonempty proper T over X, conditions checked
     exactly as written, with the Hall gate done by subset enumeration."""

@@ -11,18 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from polyrings.bigraph import (
-    MixedSubset,
-    build_graph,
-    hall_violator,
-    has_perfect_matching,
-    induced_connected,
-    is_neighbor_horizontal_interval,
-    is_neighbor_vertical_interval,
-    is_two_connected,
-    neighbors_x,
-    neighbors_y,
-)
+from polyrings.bigraph import build_graph, hall_violator, max_matching
 from polyrings.errors import BadParameters
 from polyrings.gorenstein import (
     is_gorenstein_convex,
@@ -57,7 +46,12 @@ from oracles import (
     brute_directed_cuts,
     brute_max_disjoint_cuts,
     brute_perfect_matching,
+    horizontal_interval,
+    induced_connected,
+    neigh_x,
+    neigh_y,
     vertex_set,
+    vertical_interval,
 )
 from pool import CONVEX_FIXTURES, STACK_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
@@ -191,37 +185,30 @@ def test_criterion_08():
     """Interval lemma equivalences, 2-connectivity, Hall-matching agreement."""
     shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
     for p in shapes:
-        g = build_graph(p)
         vs = vertex_set(p)
-        assert is_two_connected(g)
+        xs, ys = set(range(1, p.m + 1)), set(range(1, p.n + 1))
+        # 2-connected: at least 3 nodes, connected, and no cut vertex
+        assert p.m + p.n >= 3 and induced_connected(vs, xs, ys)
+        assert all(induced_connected(vs, xs - {i}, ys) for i in xs)
+        assert all(induced_connected(vs, xs, ys - {j}) for j in ys)
+        g = build_graph(p)
         assert (
-            has_perfect_matching(g)
+            (len(max_matching(g)) == p.m == p.n)
             == (hall_violator(g) is None)
             == brute_perfect_matching(p)
         )
-        for r in range(1, g.m):
-            for t in combinations(range(1, g.m + 1), r):
-                ts = g.x_subset(t)
-                ny = neighbors_y(g, ts)
-                assert is_neighbor_vertical_interval(g, ts) == induced_connected(
-                    g, MixedSubset(ts, ny)
-                )
-                outside_not_nested = all(
-                    g.adj_x[x] & ~ny.bits
-                    for x in range(1, g.m + 1)
-                    if x not in ts
-                )
-                u = ny.complement()
-                pullback_equal = neighbors_x(g, u).bits == ts.complement().bits
+        columns = {x: neigh_y(p, {x}) for x in xs}
+        for r in range(1, p.m):
+            for t in map(set, combinations(range(1, p.m + 1), r)):
+                ny = neigh_y(p, t)
+                assert vertical_interval(p, t) == induced_connected(vs, t, ny)
+                outside_not_nested = all(columns[x] - ny for x in xs - t)
+                u = ys - ny
+                pullback_equal = neigh_x(p, u) == xs - t
                 assert outside_not_nested == pullback_equal
-                lhs = (
-                    pullback_equal
-                    and len(u) > 0
-                    and is_neighbor_horizontal_interval(g, u)
-                )
-                residual = MixedSubset(ts.complement(), u)
-                has_edge = any(i in residual.tx and j in residual.ty for i, j in vs)
-                assert lhs == (has_edge and induced_connected(g, residual))
+                lhs = pullback_equal and horizontal_interval(p, u)
+                has_edge = any(i not in t and j in u for i, j in vs)
+                assert lhs == (has_edge and induced_connected(vs, xs - t, u))
 
 
 def test_criterion_09():

@@ -1,14 +1,8 @@
 from itertools import combinations
 
 from polyrings.bigraph import (
-    MixedSubset,
     build_graph,
     hall_violator,
-    has_perfect_matching,
-    induced_connected,
-    is_neighbor_horizontal_interval,
-    is_neighbor_vertical_interval,
-    is_two_connected,
     max_matching,
     neighbors_x,
     neighbors_y,
@@ -21,9 +15,8 @@ from oracles import (
     brute_deltas,
     brute_directed_cuts,
     brute_max_disjoint_cuts,
-    brute_perfect_matching,
     horizontal_interval,
-    neigh_x,
+    induced_connected,
     neigh_y,
     recursive_kuhn_matching,
     vertical_interval,
@@ -71,17 +64,17 @@ def test_every_line_has_at_least_two_vertices():
 
 
 def test_neighbors_vertical_fixture():
-    g = build_graph(fx("vertical"))
+    p = fx("vertical")
+    g = build_graph(p)
+    vs = vertex_set(p)
     assert neighbors_y(g, g.x_subset([1])).indices() == (3, 4)
-    t1 = g.x_subset([1, 4])
-    t2 = g.x_subset([1, 2])
-    assert neighbors_y(g, t1).indices() == (1, 2, 3, 4)
-    assert neighbors_y(g, t2).indices() == (1, 2, 3, 4)
-    # same neighbor set, but only T2 steps through contiguous levels
-    assert is_neighbor_vertical_interval(g, t2)
-    assert not is_neighbor_vertical_interval(g, t1)
-    assert induced_connected(g, MixedSubset(t2, neighbors_y(g, t2)))
-    assert not induced_connected(g, MixedSubset(t1, neighbors_y(g, t1)))
+    assert neighbors_y(g, g.x_subset([1, 4])).indices() == (1, 2, 3, 4)
+    assert neighbors_y(g, g.x_subset([1, 2])).indices() == (1, 2, 3, 4)
+    # same neighbor set, but only T2 = {1, 2} steps through contiguous levels
+    assert vertical_interval(p, {1, 2})
+    assert not vertical_interval(p, {1, 4})
+    assert induced_connected(vs, {1, 2}, {1, 2, 3, 4})
+    assert not induced_connected(vs, {1, 4}, {1, 2, 3, 4})
 
 
 def test_neighbors_fig6():
@@ -89,7 +82,7 @@ def test_neighbors_fig6():
     assert neighbors_x(g, g.y_subset([1, 5])).indices() == (1, 2, 3, 4)
     u1 = g.y_subset([2, 3])
     assert neighbors_x(g, u1).indices() == (1, 2, 3, 4, 5)
-    assert is_neighbor_horizontal_interval(g, u1)
+    assert horizontal_interval(fx("fig6"), {2, 3})
 
 
 def test_empty_subset_has_no_neighbors():
@@ -99,93 +92,27 @@ def test_empty_subset_has_no_neighbors():
 
 
 def test_fig6_residual_graphs():
-    g = build_graph(fx("fig6"))
-    t1 = g.x_subset([5])
-    res1 = MixedSubset(t1.complement(), neighbors_y(g, t1).complement())
-    assert not induced_connected(g, res1)
-    t2 = g.x_subset([1, 2, 3])
-    ny2 = neighbors_y(g, t2)
-    assert len(ny2) == g.n
+    p = fx("fig6")
+    vs = vertex_set(p)
+    xs, ys = set(range(1, p.m + 1)), set(range(1, p.n + 1))
+    assert not induced_connected(vs, xs - {5}, ys - neigh_y(p, {5}))
+    ny2 = neigh_y(p, {1, 2, 3})
+    assert ny2 == ys
     # residual keeps x4 and x5 with no y at all, hence no edges
-    res2 = MixedSubset(t2.complement(), ny2.complement())
-    assert res2.tx.indices() == (4, 5)
-    assert not any(j in res2.ty for _, j in vertex_set(fx("fig6")))
-    assert not induced_connected(g, res2)
+    assert xs - {1, 2, 3} == {4, 5}
+    assert not induced_connected(vs, xs - {1, 2, 3}, ys - ny2)
 
 
 def test_singleton_neighbor_sets_are_intervals():
     for p in convex_upto(6):
-        g = build_graph(p)
-        for i in range(1, g.m + 1):
-            assert is_neighbor_vertical_interval(g, g.x_subset([i]))
-        for j in range(1, g.n + 1):
-            assert is_neighbor_horizontal_interval(g, g.y_subset([j]))
-
-
-def test_interval_predicates_against_oracle():
-    for name in SMALL_FIXTURES:
-        p = fx(name)
-        g = build_graph(p)
-        for r in range(1, g.m + 1):
-            for t in combinations(range(1, g.m + 1), r):
-                assert is_neighbor_vertical_interval(
-                    g, g.x_subset(t)
-                ) == vertical_interval(p, set(t)), (name, t)
-        for r in range(1, g.n + 1):
-            for u in combinations(range(1, g.n + 1), r):
-                assert is_neighbor_horizontal_interval(
-                    g, g.y_subset(u)
-                ) == horizontal_interval(p, set(u)), (name, u)
-
-
-def test_lemma_equivalences():
-    """lemma1: N_Y(T) vertical interval <-> induced graph on T u N(T) connected.
-    lemma2: no outside column has nested neighbors <-> pull-back equality.
-    lemma3: equality + horizontal interval <-> residual connected with an edge.
-    """
-    shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
-    for p in shapes:
-        g = build_graph(p)
-        vs = vertex_set(p)
-        for r in range(1, g.m):
-            for t in combinations(range(1, g.m + 1), r):
-                ts = g.x_subset(t)
-                ny = neighbors_y(g, ts)
-                assert is_neighbor_vertical_interval(g, ts) == induced_connected(
-                    g, MixedSubset(ts, ny)
-                )
-                outside_not_nested = all(
-                    g.adj_x[x] & ~ny.bits
-                    for x in range(1, g.m + 1)
-                    if x not in ts
-                )
-                u = ny.complement()
-                pullback_equal = (
-                    neighbors_x(g, u).bits == ts.complement().bits
-                )
-                assert outside_not_nested == pullback_equal
-                lhs = (
-                    pullback_equal
-                    and len(u) > 0
-                    and is_neighbor_horizontal_interval(g, u)
-                )
-                residual = MixedSubset(ts.complement(), u)
-                has_edge = any(i in residual.tx and j in residual.ty for i, j in vs)
-                rhs = has_edge and induced_connected(g, residual)
-                assert lhs == rhs
-
-
-def test_two_connected():
-    for name in CONVEX_FIXTURES:
-        assert is_two_connected(build_graph(fx(name))), name
-    for p in convex_upto(7):
-        assert is_two_connected(build_graph(p))
+        assert all(vertical_interval(p, {i}) for i in range(1, p.m + 1))
+        assert all(horizontal_interval(p, {j}) for j in range(1, p.n + 1))
 
 
 def test_fig9_perfect_matching():
     g = build_graph(fx("fig9"))
     vs = vertex_set(fx("fig9"))
-    assert has_perfect_matching(g)
+    assert hall_violator(g) is None
     witness = {(1, 1), (2, 2), (3, 4), (4, 3)}
     assert witness <= vs
     mm = max_matching(g)
@@ -197,16 +124,8 @@ def test_unequal_sides_never_match():
     p = fx("figb")
     g = build_graph(p)
     assert g.m != g.n
-    assert not has_perfect_matching(g)
+    assert len(max_matching(g)) < max(g.m, g.n)
     assert hall_violator(g) is not None
-
-
-def test_hall_matches_matching():
-    shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
-    for p in shapes:
-        g = build_graph(p)
-        assert has_perfect_matching(g) == (hall_violator(g) is None)
-        assert has_perfect_matching(g) == brute_perfect_matching(p)
 
 
 def test_matching_equals_recursive_kuhn():
@@ -257,7 +176,7 @@ def test_cut_criterion_matches_definition():
             ny = neighbors_y(g, tx).bits
             for yb in range(1 << g.n):
                 ty = g.y_subset([j + 1 for j in range(g.n) if yb >> j & 1])
-                _, minus = brute_deltas(vs, set(tx), set(ty))
+                _, minus = brute_deltas(vs, set(tx.indices()), set(ty.indices()))
                 assert (not minus) == (not ny & ~ty.bits), (name, xb, yb)
 
 

@@ -5,7 +5,6 @@ from polyrings.gorenstein import (
     is_gorenstein_convex,
     is_gorenstein_stack_corners,
     is_gorenstein_stack_subsets,
-    subset_profile,
 )
 from polyrings.polyomino import Polyomino, mirror, transpose
 from polyrings.srcomplex import invariants_from_complex
@@ -13,9 +12,11 @@ from oracles import (
     brute_admissible,
     brute_gorenstein_convex,
     brute_stack_subsets,
+    horizontal_interval,
     is_palindrome,
     neigh_x,
     neigh_y,
+    vertical_interval,
 )
 from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
@@ -36,28 +37,19 @@ def test_fig8_violation():
 def test_fig8_worked_subsets():
     # the four sample subsets exercise every way T can drop out
     p = fx("fig8")
-    full = subset_profile(p, [4, 5, 6])
-    assert full.vertical_interval and full.pullback_equal
-    assert full.horizontal_interval and full.admissible
-    assert full.cardinality_ok is False
-    no_vert = subset_profile(p, [1, 4, 5, 6])
-    assert not no_vert.vertical_interval
-    assert no_vert.pullback_equal and no_vert.horizontal_interval
-    assert not no_vert.admissible and no_vert.cardinality_ok is None
-    no_eq = subset_profile(p, [4])
-    assert no_eq.vertical_interval and not no_eq.pullback_equal
-    assert no_eq.horizontal_interval
-    no_horiz = subset_profile(p, [6])
-    assert no_horiz.vertical_interval and no_horiz.pullback_equal
-    assert not no_horiz.horizontal_interval
-    assert no_horiz.neighbors.indices() == (2, 3)
+    xs, ys = set(range(1, p.m + 1)), set(range(1, p.n + 1))
 
+    def conditions(t):
+        """(N_Y(T) vertical interval, pull-back equal, horizontal interval)."""
+        u = ys - neigh_y(p, t)
+        return vertical_interval(p, t), neigh_x(p, u) == xs - t, horizontal_interval(p, u)
 
-def test_subset_profile_rejects_improper_subsets():
-    with pytest.raises(ValueError):
-        subset_profile(fx("fig8"), [])
-    with pytest.raises(ValueError):
-        subset_profile(fx("fig8"), [1, 2, 3, 4, 5, 6])
+    assert conditions({4, 5, 6}) == (True, True, True)
+    assert ((4, 5, 6), (1, 2, 3)) in brute_admissible(p)  # |N_Y(T)| = 3, not 4
+    assert conditions({1, 4, 5, 6}) == (False, True, True)
+    assert conditions({4}) == (True, False, True)
+    assert conditions({6}) == (True, True, False)
+    assert neigh_y(p, {6}) == {2, 3}
 
 
 def test_fig9_certificates():

@@ -1,6 +1,7 @@
 """The package's record types: equality, hashing, immutability, repr and
 validation, pinned independently of how each class is declared; and the
-import cost of the CLI, which must not load dataclasses."""
+import cost of the CLI, which must load neither dataclasses nor
+importlib.resources."""
 
 import os
 import re
@@ -10,14 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from polyrings.bigraph import MixedSubset, SideSubset
+from polyrings.bigraph import SideSubset
 from polyrings.gorenstein import (
     Certificate,
     GorensteinVerdict,
-    SubsetProfile,
     Violation,
     is_gorenstein_convex,
-    subset_profile,
 )
 from polyrings.invariants import Decomposition, InvariantReport, decompose, full_report
 from polyrings.polyomino import parse
@@ -40,11 +39,6 @@ NON_STACK = "##\n#."
 VALUE_RECORDS = [
     (SideSubset, lambda: SideSubset("X", 5, 3), ("side", "bits", "width")),
     (
-        MixedSubset,
-        lambda: MixedSubset(SideSubset("X", 5, 3), SideSubset("Y", 2, 2)),
-        ("tx", "ty"),
-    ),
-    (
         Violation,
         lambda: is_gorenstein_convex(fx("fig8")).violation,
         ("kind", "subset", "observed", "required"),
@@ -58,12 +52,6 @@ VALUE_RECORDS = [
         GorensteinVerdict,
         lambda: is_gorenstein_convex(fx("fig8")),
         ("gorenstein", "violation", "certificates", "method"),
-    ),
-    (
-        SubsetProfile,
-        lambda: subset_profile(fx("fig9"), [1]),
-        ("subset", "neighbors", "vertical_interval", "pullback_equal",
-         "horizontal_interval", "admissible", "cardinality_ok"),
     ),
     (
         ComplexInvariants,
@@ -103,7 +91,6 @@ def test_value_records_differ_on_any_field():
     assert x != SideSubset("X", 5, 4) != SideSubset("X", 4, 4)
     assert SideSubset("X", 1, 2) != SideSubset("Y", 1, 2)
     y = SideSubset("Y", 2, 2)
-    assert MixedSubset(x, y) != MixedSubset(x, SideSubset("Y", 1, 2))
     assert Violation("hall", x, 1, 2) != Violation("hall", x, 1, 3)
     assert Certificate(x, y) != Certificate(x, SideSubset("Y", 1, 2))
     assert is_gorenstein_convex(fx("fig8")) != is_gorenstein_convex(fx("fig9"))
@@ -129,10 +116,6 @@ def test_side_and_mixed_subsets_reject_bad_input():
             SideSubset("X", bits, width)
     with pytest.raises(ValueError, match=r"^index 4 outside 1\.\.3$"):
         SideSubset.from_indices("X", [1, 4], 3)
-    x, y = SideSubset("X", 1, 2), SideSubset("Y", 1, 2)
-    for tx, ty in ((y, x), (x, x), (y, y)):
-        with pytest.raises(ValueError, match=r"^MixedSubset needs an X part and a Y part$"):
-            MixedSubset(tx, ty)
 
 
 def test_record_dunders_keep_their_values():
@@ -142,10 +125,7 @@ def test_record_dunders_keep_their_values():
     assert bool(GorensteinVerdict(False, None, (), "forced")) is False
     x = SideSubset.from_indices("X", [1, 3], 3)
     assert (len(x), str(x)) == (2, "{x1,x3}")
-    assert (list(x), 3 in x, 2 in x, 4 in x) == ([1, 3], True, False, False)
-    assert str(x.complement()) == "{x2}"
-    mixed = MixedSubset(x, SideSubset("Y", 2, 2))
-    assert (len(mixed), str(mixed)) == (3, "{x1,x3,y2}")
+    assert x.indices() == (1, 3)
     assert str(is_gorenstein_convex(fx("fig8")).violation) == "T={x4,x5,x6}, |N_Y(T)|=3, need 4"
     assert str(is_gorenstein_convex(fx("fig13")).violation) == "T={y1,y2,y3,y4}, |N_X(T)|=3, need 4"
 
@@ -170,12 +150,7 @@ def test_invariant_report_to_dict_keeps_its_keys_and_values():
 
 
 def test_records_repr_as_name_and_fields():
-    x, y = SideSubset("X", 5, 3), SideSubset("Y", 2, 2)
-    assert repr(x) == "SideSubset(side='X', bits=5, width=3)"
-    assert repr(MixedSubset(x, y)) == (
-        "MixedSubset(tx=SideSubset(side='X', bits=5, width=3), "
-        "ty=SideSubset(side='Y', bits=2, width=2))"
-    )
+    assert repr(SideSubset("X", 5, 3)) == "SideSubset(side='X', bits=5, width=3)"
     assert repr(is_gorenstein_convex(fx("fig9"))) == (
         "GorensteinVerdict(gorenstein=True, violation=None, certificates=("
         "Certificate(subset=SideSubset(side='X', bits=8, width=4), "
@@ -186,12 +161,6 @@ def test_records_repr_as_name_and_fields():
     assert repr(is_gorenstein_convex(fx("fig8")).violation) == (
         "Violation(kind='cardinality', subset=SideSubset(side='X', bits=56, width=6), "
         "observed=3, required=4)"
-    )
-    assert repr(subset_profile(fx("fig9"), [1])) == (
-        "SubsetProfile(subset=SideSubset(side='X', bits=1, width=4), "
-        "neighbors=SideSubset(side='Y', bits=7, width=4), vertical_interval=True, "
-        "pullback_equal=False, horizontal_interval=True, admissible=False, "
-        "cardinality_ok=None)"
     )
     assert repr(invariants_from_complex(build_complex(parse(NON_STACK)))) == (
         "ComplexInvariants(multiplicity=5, regularity=2, a_invariant=-3, h_vector=(1, 3, 1))"
@@ -220,7 +189,6 @@ def test_records_repr_as_name_and_fields():
 def test_records_build_by_position_and_by_keyword():
     x, y = SideSubset("X", 1, 1), SideSubset("Y", 1, 1)
     assert SideSubset(side="X", bits=1, width=1) == x
-    assert MixedSubset(tx=x, ty=y) == MixedSubset(x, y)
     viol = Violation(kind="hall", subset=x, observed=0, required=1)
     assert viol == Violation("hall", x, 0, 1)
     cert = Certificate(subset=x, neighbors=y)
@@ -253,13 +221,17 @@ def test_records_build_by_position_and_by_keyword():
 
 
 def test_cli_import_does_not_load_dataclasses():
-    code = "import sys, polyrings.cli; print('dataclasses' in sys.modules)"
+    # -S skips site, whose .pth files may load importlib.resources first
+    code = (
+        "import sys, polyrings.cli; "
+        "print('dataclasses' in sys.modules, 'importlib.resources' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    assert run.stdout == "False False\n"
 
 
 def test_no_package_module_imports_dataclasses():
