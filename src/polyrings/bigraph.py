@@ -96,12 +96,6 @@ class BipartiteGraph:
         self.adj_x = tuple(b | b << 1 for b in vstep)
         self.adj_y = tuple(b | b << 1 for b in hstep)
 
-    def x_subset(self, indices) -> SideSubset:
-        return SideSubset.from_indices("X", indices, self.m)
-
-    def y_subset(self, indices) -> SideSubset:
-        return SideSubset.from_indices("Y", indices, self.n)
-
 
 def build_graph(p: Polyomino) -> BipartiteGraph:
     return BipartiteGraph(p)

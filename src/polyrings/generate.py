@@ -20,35 +20,6 @@ from .errors import ConsistencyError
 from .polyomino import Polyomino, is_convex, stack_from_profile
 
 
-def _normalize(cells: frozenset) -> frozenset:
-    dc = min(c for c, _ in cells) - 1
-    dr = min(r for _, r in cells) - 1
-    if dc or dr:
-        return frozenset((c - dc, r - dr) for c, r in cells)
-    return cells
-
-
-def fixed_cell_sets(max_cells: int) -> list[set[frozenset]]:
-    """Normalized cell sets of every fixed polyomino, grouped by size 1..max_cells."""
-    levels = [{frozenset([(1, 1)])}] if max_cells >= 1 else []
-    for _ in range(2, max_cells + 1):
-        grown = set()
-        for shape in levels[-1]:
-            for c, r in shape:
-                for nb in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1)):
-                    if nb not in shape:
-                        grown.add(_normalize(shape | {nb}))
-        levels.append(grown)
-    return levels
-
-
-def fixed_polyominoes(max_cells: int) -> Iterator[Polyomino]:
-    """Every fixed polyomino with 1..max_cells cells, smaller sizes first."""
-    for level in fixed_cell_sets(max_cells):
-        for shape in sorted(level, key=sorted):
-            yield Polyomino(shape)
-
-
 def _convex_cell_tuples(size: int) -> list[tuple]:
     """The normalized cells of every convex polyomino with exactly size
     cells, each as a tuple in ascending (col, row) order, the list sorted.
@@ -83,8 +54,7 @@ def _convex_cell_tuples(size: int) -> list[tuple]:
 
 def convex_polyominoes(max_cells: int) -> Iterator[Polyomino]:
     """Every convex polyomino with 1..max_cells cells, smaller sizes
-    first, each size in ascending order of its sorted cell list (the
-    order of fixed_polyominoes).
+    first, each size in ascending order of its sorted cell list.
 
     Shapes come from the column-interval search of the module docstring,
     one size at a time. Each one is checked with is_convex, whose cached

@@ -217,7 +217,8 @@ def is_gorenstein_stack_subsets(p: Polyomino) -> GorensteinVerdict:
     hs = heights(p)
     certs = []
     for s in sorted({h for h in hs if h < g.n}):
-        t_sub = g.x_subset([i for i, h in enumerate(hs, start=1) if h <= s])
+        low = [i for i, h in enumerate(hs, start=1) if h <= s]
+        t_sub = SideSubset.from_indices("X", low, g.m)
         n_sub = SideSubset("Y", (1 << s) - 1, g.n)
         if s != len(t_sub) + 1:
             return GorensteinVerdict(

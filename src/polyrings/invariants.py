@@ -43,10 +43,10 @@ It is the rook number of the stack, which is the regularity of every
 L-convex polyomino (Ene, Herzog, Qureshi, Romeo 2021).
 
 The j = 1 term alone gives the bounding-box bounds a <= -max(m, n) and
-reg <= min(m, n) - 1 (a_invariant_stack, regularity_stack). They are
-not always attained: a tall narrow tower on a wide low base beats
-them, the smallest case being the 5-cell stack with vertex heights
-[2,2,4,4], where a = -5 and reg = 2.
+reg <= min(m, n) - 1. They are not always attained: a tall narrow
+tower on a wide low base beats them, the smallest case being the 5-cell
+stack with vertex heights [2,2,4,4], where a = -5 and reg = 2. So they
+are never reported as values; full_report names a gap in its notes.
 """
 
 from __future__ import annotations
@@ -75,24 +75,6 @@ from .polyomino import (
 )
 from .srcomplex import build_complex, invariants_from_complex
 from .toric import VarOrder, _check_ranks
-
-
-def a_invariant_stack(p: Polyomino) -> int:
-    """Bounding-box bound -max(m, n). An upper bound on the true
-    a-invariant, not always attained; a_invariant_stack_exact gives
-    the value. See the module docstring."""
-    if not is_stack(p):
-        raise NotStack("a-invariant formula needs a stack polyomino")
-    return _box_bounds(p)[0]
-
-
-def regularity_stack(p: Polyomino) -> int:
-    """Bounding-box bound min(m, n) - 1. An upper bound on the true
-    regularity, not always attained; regularity_stack_exact gives the
-    value. See the module docstring."""
-    if not is_stack(p):
-        raise NotStack("regularity formula needs a stack polyomino")
-    return _box_bounds(p)[1]
 
 
 def a_invariant_stack_exact(p: Polyomino) -> int:

@@ -271,18 +271,6 @@ def mirror(p: Polyomino) -> Polyomino:
     return Polyomino((p.m - c, r) for c, r in p.cells)
 
 
-def delete_cell(p: Polyomino, cell: Cell) -> Polyomino:
-    """Remove one cell and renormalize."""
-    if cell not in p.cells:
-        raise ValueError(f"{cell} is not a cell of the polyomino")
-    rest = p.cells - {cell}
-    if not rest:
-        raise EmptyResult("deleting the only cell")
-    if not _edge_connected(rest):
-        raise DisconnectedResult(f"deleting {cell} disconnects the cells")
-    return Polyomino(rest)
-
-
 def cells_at_or_above(p: Polyomino, level: int) -> Polyomino:
     """Keep cells whose row is >= level, renormalized."""
     kept = {(c, r) for c, r in p.cells if r >= level}

@@ -166,18 +166,10 @@ def _terms(mn: InnerMinor, pos: dict[Variable, int]) -> tuple[Monomial, Monomial
 
 
 def leading_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
-    """The revlex-larger of the minor's two monomials."""
-    return frozenset(_ranked_terms(minor, order)[0])
-
-
-def trailing_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
-    return frozenset(_ranked_terms(minor, order)[1])
-
-
-def _ranked_terms(minor: InnerMinor, order: VarOrder) -> tuple[Monomial, Monomial]:
-    """_terms, or BadParameters naming the minor's unranked variables."""
+    """The revlex-larger of the minor's two monomials; BadParameters names
+    the minor's variables that the order does not rank."""
     try:
-        return _terms(minor, order._pos)
+        return frozenset(_terms(minor, order._pos)[0])
     except KeyError:
         missing = sorted((minor.diagonal | minor.antidiagonal) - order._pos.keys())
         raise BadParameters(
@@ -220,26 +212,17 @@ class InitialIdeal:
     Immutable, and compared by identity.
     """
 
-    __slots__ = ("generators", "order", "minors")
+    __slots__ = ("generators", "order")
 
-    def __init__(
-        self,
-        generators: frozenset[frozenset[Variable]],
-        order: VarOrder,
-        minors: tuple[InnerMinor, ...],
-    ):
+    def __init__(self, generators: frozenset[frozenset[Variable]], order: VarOrder):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "minors", minors)
 
     def __setattr__(self, name, value):
         raise AttributeError("InitialIdeal is immutable")
 
     def __repr__(self):
-        return (
-            f"InitialIdeal(generators={self.generators!r}, order={self.order!r}, "
-            f"minors={self.minors!r})"
-        )
+        return f"InitialIdeal(generators={self.generators!r}, order={self.order!r})"
 
 
 def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
@@ -256,7 +239,7 @@ def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     leads = frozenset(frozenset(lead) for lead, _ in terms)
     if len(leads) != len(minors):
         raise ConsistencyError("leading terms collide across minors")
-    return InitialIdeal(leads, order, tuple(minors))
+    return InitialIdeal(leads, order)
 
 
 def verify_groebner(p: Polyomino, order: VarOrder | None = None) -> bool:

@@ -7,6 +7,8 @@ a bug in the bit-set machinery cannot hide in its own oracle.
 
 from itertools import combinations, permutations
 
+from polyrings.polyomino import Polyomino
+
 
 def vertex_set(p):
     out = set()
@@ -34,11 +36,47 @@ def brute_convex(p):
     return True
 
 
+def _normalize(cells):
+    dc = min(c for c, _ in cells) - 1
+    dr = min(r for _, r in cells) - 1
+    if dc or dr:
+        return frozenset((c - dc, r - dr) for c, r in cells)
+    return cells
+
+
+def fixed_polyominoes(max_cells):
+    """Every fixed polyomino with 1..max_cells cells, smaller sizes first,
+    each size in ascending order of its sorted cell list. Each size is
+    grown from the one below by adding a neighbouring cell in every way,
+    about 4x more shapes per cell."""
+    level = {frozenset([(1, 1)])}
+    for size in range(1, max_cells + 1):
+        if size > 1:
+            level = {
+                _normalize(shape | {nb})
+                for shape in level
+                for c, r in shape
+                for nb in ((c + 1, r), (c - 1, r), (c, r + 1), (c, r - 1))
+                if nb not in shape
+            }
+        for shape in sorted(level, key=sorted):
+            yield Polyomino(shape)
+
+
 def brute_convex_polyominoes(fixed):
     """The convex shapes among the given fixed polyominoes, in their
     order: the filter over fixed_polyominoes(n) that the column-interval
     enumerator replaces."""
     return [p for p in fixed if brute_convex(p)]
+
+
+def delete_cell(p, cell):
+    """p without one of its cells, renormalized. Polyomino raises
+    EmptyInput or DisconnectedCells when nothing or a disconnected set is
+    left."""
+    if cell not in p.cells:
+        raise ValueError(f"{cell} is not a cell of the polyomino")
+    return Polyomino(p.cells - {cell})
 
 
 def brute_heights(p):
@@ -47,38 +85,38 @@ def brute_heights(p):
     return [max(r for c, r in vs if c == i) for i in range(1, m + 1)]
 
 
-def neigh_y(p, t):
-    """Row levels adjacent to the column set t in the vertex graph."""
-    vs = vertex_set(p)
+def neigh_y(vs, t):
+    """Row levels adjacent to the column set t in the vertex graph whose
+    edges are the vertices vs."""
     return {j for i, j in vs if i in t}
 
 
-def neigh_x(p, u):
-    vs = vertex_set(p)
+def neigh_x(vs, u):
     return {i for i, j in vs if j in u}
 
 
-def vertical_interval(p, t):
-    """Contiguous levels plus a shared column of P between consecutive ones."""
-    ny = sorted(neigh_y(p, t))
+def vertical_interval(vs, cells, t):
+    """Contiguous levels plus a shared column of the cells between
+    consecutive ones."""
+    ny = sorted(neigh_y(vs, t))
     if not ny:
         return False
     if ny != list(range(ny[0], ny[-1] + 1)):
         return False
     for j in ny[:-1]:
-        if not any((x - 1, j) in p.cells or (x, j) in p.cells for x in t):
+        if not any((x - 1, j) in cells or (x, j) in cells for x in t):
             return False
     return True
 
 
-def horizontal_interval(p, u):
-    nx = sorted(neigh_x(p, u))
+def horizontal_interval(vs, cells, u):
+    nx = sorted(neigh_x(vs, u))
     if not nx:
         return False
     if nx != list(range(nx[0], nx[-1] + 1)):
         return False
     for v in nx[:-1]:
-        if not any((v, y - 1) in p.cells or (v, y) in p.cells for y in u):
+        if not any((v, y - 1) in cells or (v, y) in cells for y in u):
             return False
     return True
 
@@ -116,10 +154,10 @@ def brute_gorenstein_convex(p):
     ys = list(range(1, n + 1))
     for k in range(1, m + 1):
         for t in combinations(xs, k):
-            if len(neigh_y(p, set(t))) < k:
+            if len(neigh_y(vs, set(t))) < k:
                 return False
         for u in combinations(ys, k):
-            if len(neigh_x(p, set(u))) < k:
+            if len(neigh_x(vs, set(u))) < k:
                 return False
     return all(len(ny) == len(t) + 1 for t, ny in brute_admissible(p))
 
@@ -135,13 +173,13 @@ def brute_admissible(p):
     out = []
     for code in range(1, (1 << m) - 1):
         t = {x for x in xs if code >> (x - 1) & 1}
-        ny = neigh_y(p, t)
+        ny = neigh_y(vs, t)
         u = ys - ny
         if (
             u
-            and vertical_interval(p, t)
-            and neigh_x(p, u) == xs - t
-            and horizontal_interval(p, u)
+            and vertical_interval(vs, p.cells, t)
+            and neigh_x(vs, u) == xs - t
+            and horizontal_interval(vs, p.cells, u)
         ):
             out.append((tuple(sorted(t)), tuple(sorted(ny))))
     return out
@@ -160,11 +198,11 @@ def brute_stack_subsets(p):
     ys = set(range(1, n + 1))
     for k in range(1, m + 1):
         for t in combinations(xs, k):
-            ny = neigh_y(p, set(t))
+            ny = neigh_y(vs, set(t))
             if not ys - ny:
                 continue
             top = max(ny)
-            if all(max(neigh_y(p, {x})) > top for x in xs if x not in t):
+            if all(max(neigh_y(vs, {x})) > top for x in xs if x not in t):
                 if len(ny) != k + 1:
                     return False
     return True

@@ -3,16 +3,13 @@
 import random
 from functools import lru_cache
 
-from polyrings import (
-    build_complex,
-    fixed_polyominoes,
-    fixtures,
-    full_report,
-    stack_polyominoes,
-)
+from polyrings import fixtures
+from polyrings.generate import stack_polyominoes
+from polyrings.invariants import full_report
+from polyrings.srcomplex import build_complex
 from polyrings.toric import VarOrder
 
-from oracles import brute_convex_polyominoes
+from oracles import brute_convex_polyominoes, fixed_polyominoes
 
 
 @lru_cache(maxsize=None)

@@ -197,16 +197,16 @@ def test_criterion_08():
             == (hall_violator(g) is None)
             == brute_perfect_matching(p)
         )
-        columns = {x: neigh_y(p, {x}) for x in xs}
+        columns = {x: neigh_y(vs, {x}) for x in xs}
         for r in range(1, p.m):
             for t in map(set, combinations(range(1, p.m + 1), r)):
-                ny = neigh_y(p, t)
-                assert vertical_interval(p, t) == induced_connected(vs, t, ny)
+                ny = neigh_y(vs, t)
+                assert vertical_interval(vs, p.cells, t) == induced_connected(vs, t, ny)
                 outside_not_nested = all(columns[x] - ny for x in xs - t)
                 u = ys - ny
-                pullback_equal = neigh_x(p, u) == xs - t
+                pullback_equal = neigh_x(vs, u) == xs - t
                 assert outside_not_nested == pullback_equal
-                lhs = pullback_equal and horizontal_interval(p, u)
+                lhs = pullback_equal and horizontal_interval(vs, p.cells, u)
                 has_edge = any(i not in t and j in u for i, j in vs)
                 assert lhs == (has_edge and induced_connected(vs, xs - t, u))
 

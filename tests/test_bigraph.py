@@ -1,6 +1,7 @@
 from itertools import combinations
 
 from polyrings.bigraph import (
+    SideSubset,
     build_graph,
     hall_violator,
     max_matching,
@@ -67,36 +68,37 @@ def test_neighbors_vertical_fixture():
     p = fx("vertical")
     g = build_graph(p)
     vs = vertex_set(p)
-    assert neighbors_y(g, g.x_subset([1])).indices() == (3, 4)
-    assert neighbors_y(g, g.x_subset([1, 4])).indices() == (1, 2, 3, 4)
-    assert neighbors_y(g, g.x_subset([1, 2])).indices() == (1, 2, 3, 4)
+    assert neighbors_y(g, SideSubset.from_indices("X", [1], g.m)).indices() == (3, 4)
+    assert neighbors_y(g, SideSubset.from_indices("X", [1, 4], g.m)).indices() == (1, 2, 3, 4)
+    assert neighbors_y(g, SideSubset.from_indices("X", [1, 2], g.m)).indices() == (1, 2, 3, 4)
     # same neighbor set, but only T2 = {1, 2} steps through contiguous levels
-    assert vertical_interval(p, {1, 2})
-    assert not vertical_interval(p, {1, 4})
+    assert vertical_interval(vs, p.cells, {1, 2})
+    assert not vertical_interval(vs, p.cells, {1, 4})
     assert induced_connected(vs, {1, 2}, {1, 2, 3, 4})
     assert not induced_connected(vs, {1, 4}, {1, 2, 3, 4})
 
 
 def test_neighbors_fig6():
-    g = build_graph(fx("fig6"))
-    assert neighbors_x(g, g.y_subset([1, 5])).indices() == (1, 2, 3, 4)
-    u1 = g.y_subset([2, 3])
+    p = fx("fig6")
+    g = build_graph(p)
+    assert neighbors_x(g, SideSubset.from_indices("Y", [1, 5], g.n)).indices() == (1, 2, 3, 4)
+    u1 = SideSubset.from_indices("Y", [2, 3], g.n)
     assert neighbors_x(g, u1).indices() == (1, 2, 3, 4, 5)
-    assert horizontal_interval(fx("fig6"), {2, 3})
+    assert horizontal_interval(vertex_set(p), p.cells, {2, 3})
 
 
 def test_empty_subset_has_no_neighbors():
     g = build_graph(fx("fig6"))
-    assert len(neighbors_y(g, g.x_subset([]))) == 0
-    assert len(neighbors_x(g, g.y_subset([]))) == 0
+    assert len(neighbors_y(g, SideSubset.from_indices("X", [], g.m))) == 0
+    assert len(neighbors_x(g, SideSubset.from_indices("Y", [], g.n))) == 0
 
 
 def test_fig6_residual_graphs():
     p = fx("fig6")
     vs = vertex_set(p)
     xs, ys = set(range(1, p.m + 1)), set(range(1, p.n + 1))
-    assert not induced_connected(vs, xs - {5}, ys - neigh_y(p, {5}))
-    ny2 = neigh_y(p, {1, 2, 3})
+    assert not induced_connected(vs, xs - {5}, ys - neigh_y(vs, {5}))
+    ny2 = neigh_y(vs, {1, 2, 3})
     assert ny2 == ys
     # residual keeps x4 and x5 with no y at all, hence no edges
     assert xs - {1, 2, 3} == {4, 5}
@@ -105,8 +107,9 @@ def test_fig6_residual_graphs():
 
 def test_singleton_neighbor_sets_are_intervals():
     for p in convex_upto(6):
-        assert all(vertical_interval(p, {i}) for i in range(1, p.m + 1))
-        assert all(horizontal_interval(p, {j}) for j in range(1, p.n + 1))
+        vs = vertex_set(p)
+        assert all(vertical_interval(vs, p.cells, {i}) for i in range(1, p.m + 1))
+        assert all(horizontal_interval(vs, p.cells, {j}) for j in range(1, p.n + 1))
 
 
 def test_fig9_perfect_matching():
@@ -172,10 +175,10 @@ def test_cut_criterion_matches_definition():
         vs = vertex_set(p)
         g = build_graph(p)
         for xb in range(1 << g.m):
-            tx = g.x_subset([i + 1 for i in range(g.m) if xb >> i & 1])
+            tx = SideSubset("X", xb, g.m)
             ny = neighbors_y(g, tx).bits
             for yb in range(1 << g.n):
-                ty = g.y_subset([j + 1 for j in range(g.n) if yb >> j & 1])
+                ty = SideSubset("Y", yb, g.n)
                 _, minus = brute_deltas(vs, set(tx.indices()), set(ty.indices()))
                 assert (not minus) == (not ny & ~ty.bits), (name, xb, yb)
 

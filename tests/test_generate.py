@@ -4,14 +4,10 @@ import pytest
 
 from polyrings import generate
 from polyrings.errors import ConsistencyError
-from polyrings.generate import (
-    convex_polyominoes,
-    fixed_polyominoes,
-    stack_polyominoes,
-    unimodal_compositions,
-)
+from polyrings.generate import convex_polyominoes, stack_polyominoes, unimodal_compositions
 from polyrings.polyomino import is_convex, is_stack
 
+from oracles import fixed_polyominoes
 from pool import convex_upto
 
 

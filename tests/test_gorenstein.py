@@ -16,6 +16,7 @@ from oracles import (
     is_palindrome,
     neigh_x,
     neigh_y,
+    vertex_set,
     vertical_interval,
 )
 from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
@@ -37,19 +38,24 @@ def test_fig8_violation():
 def test_fig8_worked_subsets():
     # the four sample subsets exercise every way T can drop out
     p = fx("fig8")
+    vs = vertex_set(p)
     xs, ys = set(range(1, p.m + 1)), set(range(1, p.n + 1))
 
     def conditions(t):
         """(N_Y(T) vertical interval, pull-back equal, horizontal interval)."""
-        u = ys - neigh_y(p, t)
-        return vertical_interval(p, t), neigh_x(p, u) == xs - t, horizontal_interval(p, u)
+        u = ys - neigh_y(vs, t)
+        return (
+            vertical_interval(vs, p.cells, t),
+            neigh_x(vs, u) == xs - t,
+            horizontal_interval(vs, p.cells, u),
+        )
 
     assert conditions({4, 5, 6}) == (True, True, True)
     assert ((4, 5, 6), (1, 2, 3)) in brute_admissible(p)  # |N_Y(T)| = 3, not 4
     assert conditions({1, 4, 5, 6}) == (False, True, True)
     assert conditions({4}) == (True, False, True)
     assert conditions({6}) == (True, True, False)
-    assert neigh_y(p, {6}) == {2, 3}
+    assert neigh_y(vs, {6}) == {2, 3}
 
 
 def test_fig9_certificates():
@@ -121,7 +127,8 @@ def test_interval_scan_against_the_literal_sweep():
         got = [(c.subset.indices(), c.neighbors.indices()) for c in v.certificates]
         if v.violation is not None and v.violation.kind == "hall":
             t = set(v.violation.subset.indices())
-            nbors = neigh_y(p, t) if v.violation.subset.side == "X" else neigh_x(p, t)
+            vs = vertex_set(p)
+            nbors = neigh_y(vs, t) if v.violation.subset.side == "X" else neigh_x(vs, t)
             assert v.violation.observed == len(nbors) < len(t) == v.violation.required
             assert got == [] and not brute_gorenstein_convex(p)
             continue

@@ -12,7 +12,6 @@ from polyrings.errors import (
 )
 from polyrings.gorenstein import GorensteinVerdict
 from polyrings.invariants import (
-    a_invariant_stack,
     a_invariant_stack_exact,
     decompose,
     distinguished_vertex,
@@ -24,13 +23,11 @@ from polyrings.invariants import (
     multiplicity_recursive,
     multiplicity_rectangle,
     pk_polyomino,
-    regularity_stack,
     regularity_stack_exact,
 )
 from polyrings.polyomino import (
     Polyomino,
     cells_at_or_above,
-    delete_cell,
     heights,
     is_rectangle,
     is_stack,
@@ -41,25 +38,24 @@ from polyrings.polyomino import (
 )
 from polyrings.srcomplex import build_complex, facets, hilbert_numerator, invariants_from_complex
 from polyrings.toric import variable_order
+from oracles import delete_cell
 from pool import STACK_FIXTURES, complex_of, fx, stacks_upto
 
 
 def test_closed_forms_on_fixtures():
+    # here the bounding-box bounds are attained, so full_report adds no note
     fig14 = fx("fig14")
     assert (fig14.m, fig14.n) == (6, 4)
-    assert regularity_stack(fig14) == 3
-    assert a_invariant_stack(fig14) == -6
+    assert regularity_stack_exact(fig14) == 3
+    assert a_invariant_stack_exact(fig14) == -6
     fig13 = fx("fig13")
-    assert a_invariant_stack(fig13) == -4
+    assert a_invariant_stack_exact(fig13) == -4
     single = fx("single_cell")
-    assert (a_invariant_stack(single), regularity_stack(single)) == (-2, 1)
+    assert (a_invariant_stack_exact(single), regularity_stack_exact(single)) == (-2, 1)
+    assert [full_report(p).notes for p in (fig14, fig13, single)] == [()] * 3
 
 
 def test_closed_forms_need_a_stack():
-    with pytest.raises(NotStack):
-        a_invariant_stack(fx("fig9"))
-    with pytest.raises(NotStack):
-        regularity_stack(fx("fig9"))
     with pytest.raises(NotStack):
         a_invariant_stack_exact(fx("fig9"))
     with pytest.raises(NotStack):
@@ -72,11 +68,10 @@ def test_closed_forms_are_bounds_not_values():
     split = {}
     for p in stacks_upto(7):
         ci = invariants_from_complex(complex_of(p))
-        assert ci.a_invariant <= a_invariant_stack(p)
-        assert ci.regularity <= regularity_stack(p)
-        if (ci.a_invariant, ci.regularity) != (
-            a_invariant_stack(p), regularity_stack(p)
-        ):
+        bound_a, bound_reg = -max(p.m, p.n), min(p.m, p.n) - 1
+        assert ci.a_invariant <= bound_a
+        assert ci.regularity <= bound_reg
+        if (ci.a_invariant, ci.regularity) != (bound_a, bound_reg):
             k = len(p.cells)
             split[k] = split.get(k, 0) + 1
     assert split == {5: 3, 6: 7, 7: 12}
@@ -92,8 +87,11 @@ def test_five_cell_counterexamples():
         assert is_stack(p) and (p.m, p.n) == (4, 4)
         ci = invariants_from_complex(complex_of(p))
         assert (ci.a_invariant, ci.regularity) == (-5, 2)
-        assert (a_invariant_stack(p), regularity_stack(p)) == (-4, 3)
         assert (a_invariant_stack_exact(p), regularity_stack_exact(p)) == (-5, 2)
+        assert full_report(p).notes == (
+            "bounding-box bounds predict a=-4, regularity=3; "
+            "the recursion gives a=-5, regularity=2 (reported)",
+        )
 
 
 def test_full_report_past_the_fvector_guard():

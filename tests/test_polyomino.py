@@ -14,7 +14,6 @@ from polyrings.polyomino import (
     Polyomino,
     cells_at_or_above,
     corners,
-    delete_cell,
     has_monotone_paths,
     heights,
     is_column_convex,
@@ -27,7 +26,7 @@ from polyrings.polyomino import (
     serialize,
     transpose,
 )
-from oracles import brute_convex, brute_heights
+from oracles import brute_convex, brute_heights, delete_cell, fixed_polyominoes
 from pool import CONVEX_FIXTURES, STACK_FIXTURES, convex_upto, fx, stacks_upto
 
 
@@ -99,8 +98,6 @@ def test_row_but_not_column_convex():
 
 def test_convex_equals_monotone_paths_exhaustive():
     # two definitions of convexity agree on every shape with <= 7 cells
-    from polyrings.generate import fixed_polyominoes
-
     for p in fixed_polyominoes(7):
         assert is_convex(p) == has_monotone_paths(p)
         assert is_convex(p) == brute_convex(p)
@@ -198,9 +195,9 @@ def test_delete_cell():
     p = fx("ex3")
     q = delete_cell(p, (2, 3))
     assert q.cells == frozenset({(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)})
-    with pytest.raises(EmptyResult):
+    with pytest.raises(EmptyInput):
         delete_cell(fx("single_cell"), (1, 1))
-    with pytest.raises(DisconnectedResult):
+    with pytest.raises(DisconnectedCells):
         delete_cell(parse("###"), (2, 1))
     with pytest.raises(ValueError):
         delete_cell(p, (9, 9))
@@ -220,6 +217,8 @@ def test_cells_at_or_above():
     assert q.cells == frozenset({(1, 1), (2, 1), (2, 2)})
     with pytest.raises(EmptyResult):
         cells_at_or_above(p, 9)
+    with pytest.raises(DisconnectedResult):
+        cells_at_or_above(parse("#.#\n###"), 2)
 
 
 def test_cells_at_or_above_keeps_stacks_stacks():
