@@ -9,18 +9,24 @@ one scan over these masks; its per-subset interval, pull-back and
 connectivity conditions are written out on plain sets only in the
 tests' oracles.
 
-One matching routine (Kuhn's augmenting paths) serves two questions:
-the perfect matchings and Hall violators of this graph, and the rook
-number r(P), the largest set of cells no two in one cell row or cell
-column, a maximum matching of cell columns to cell rows. For a stack,
-reg K[P] = r(P) (Ene-Herzog-Qureshi-Romeo, 2021, for L-convex shapes),
-so -a = d - r(P): the paper's maximum number of disjoint directed cuts,
-whose 2^(m+n) sweep lives in the tests' oracles.
+For a convex polyomino the graph is convex: the levels of each column
+form an interval, and so do the rows of each cell column. Matching
+questions on a convex bipartite graph need no augmenting paths (Glover,
+"Maximum matching in a convex bipartite graph", 1967). Hall's condition
+fails only on a set of columns whose levels lie inside one interval,
+which the Gorenstein scan checks as it goes, and a greedy sweep gives
+the rook number r(P), the largest set of cells no two in one cell row
+or cell column: a maximum matching of cell columns to cell rows. For a
+stack, reg K[P] = r(P) (Ene-Herzog-Qureshi-Romeo, 2021, for L-convex
+shapes), so -a = d - r(P): the paper's maximum number of disjoint
+directed cuts, whose 2^(m+n) sweep lives in the tests' oracles.
 """
-
 from __future__ import annotations
 
-from .polyomino import Polyomino
+from bisect import bisect_left, insort
+
+from .errors import NotConvex
+from .polyomino import Polyomino, is_convex
 
 
 class SideSubset:
@@ -101,112 +107,39 @@ def build_graph(p: Polyomino) -> BipartiteGraph:
     return BipartiteGraph(p)
 
 
-def _or_rows(bits: int, table) -> int:
-    """OR of table[i] over the members i of a bit set (bit i-1 is i)."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= table[low.bit_length()]
-        bits ^= low
-    return out
-
-
-def neighbors_y(g: BipartiteGraph, t: SideSubset) -> SideSubset:
-    """N_Y(T) for T a subset of X."""
-    if t.side != "X":
-        raise ValueError("neighbors_y expects an X subset")
-    return SideSubset("Y", _or_rows(t.bits, g.adj_x), g.n)
-
-
-def neighbors_x(g: BipartiteGraph, u: SideSubset) -> SideSubset:
-    """N_X(U) for U a subset of Y."""
-    if u.side != "Y":
-        raise ValueError("neighbors_x expects a Y subset")
-    return SideSubset("X", _or_rows(u.bits, g.adj_y), g.m)
-
-
 def _contiguous(bits: int) -> bool:
     """The set bits form one run (or none): adding the lowest set bit
     carries through the first run and clears it."""
     return bits & (bits + (bits & -bits)) == 0
 
 
-def _kuhn(adj, n: int) -> list[int]:
-    """Maximum matching of nodes 1..len(adj)-1 into 1..n by Kuhn's
-    augmenting paths, adj[i] bit j-1 standing for the edge (i, j); entry
-    j of the result is the mate of j, or 0 when j is free.
-
-    Each search keeps its alternating path on an explicit stack, so its
-    depth is not limited by Python's recursion limit. A step takes the
-    lowest unvisited neighbour of the node on top; a matched neighbour
-    extends the path by its mate, a free one flips the path, and a node
-    with no unvisited neighbour is popped.
-    """
-    match = [0] * (n + 1)
-    for root in range(1, len(adj)):
-        visited = 0
-        path = [root]  # left nodes of the alternating path
-        via: list[int] = []  # via[k]: the right node path[k] tries
-        while path:
-            free = adj[path[-1]] & ~visited
-            if not free:
-                path.pop()
-                del via[-1:]
-                continue
-            low = free & -free
-            visited |= low
-            j = low.bit_length()
-            via.append(j)
-            if match[j] == 0:
-                for i, right in zip(path, via):
-                    match[right] = i
-                break
-            path.append(match[j])
-    return match
-
-
-def max_matching(g: BipartiteGraph) -> dict[int, int]:
-    """Maximum matching as a map x index -> y index."""
-    match_y = _kuhn(g.adj_x, g.n)
-    return {i: j for j in range(1, g.n + 1) if (i := match_y[j])}
 
 
 def rook_number(p: Polyomino) -> int:
     """r(P): the most cells of P with no two in one cell row or column,
-    a maximum matching of cell columns 1..m-1 to cell rows 1..n-1."""
+    a maximum matching of cell columns 1..m-1 to cell rows 1..n-1.
+
+    Glover's greedy: the cell rows are taken in ascending order, and each
+    gets the open cell column whose rows end first. Any maximum matching
+    can be exchanged into the greedy one row at a time, since the column
+    the greedy takes stays open no longer than the one it displaces.
+    """
+    if not is_convex(p):
+        raise NotConvex("the rook number sweep needs a convex polyomino")
     rows = [0] * p.m
     for c, r in p.cells:
         rows[c] |= 1 << (r - 1)
-    return sum(1 for i in _kuhn(rows, p.n - 1) if i)
-
-
-def hall_violator(g: BipartiteGraph) -> SideSubset | None:
-    """A subset T with |N(T)| < |T|, X side first, or None when a perfect
-    matching exists.
-
-    Konig's construction from a maximum matching: the vertices reachable
-    from the lowest unmatched vertex of a deficient side by alternating
-    paths (any edge out of that side, matched edges back). Every reached
-    vertex of the other side is matched, or the matching would augment,
-    so the reached part of the deficient side has one member more than
-    neighbours. Polynomial, and a violator, but not necessarily the first
-    one in bit order.
-    """
-    match = max_matching(g)
-    if len(match) < g.m:
-        side, width, other, adj = "X", g.m, g.n, g.adj_x
-        back = {j: i for i, j in match.items()}
-    elif len(match) < g.n:
-        side, width, other, adj, back = "Y", g.n, g.m, g.adj_y, match
-    else:
-        return None
-    # mate_bits[j]: the mate on the deficient side of a matched vertex j
-    mate_bits = [0] * (other + 1)
-    for j, i in back.items():
-        mate_bits[j] = 1 << (i - 1)
-    unmatched = ((1 << width) - 1) & ~_or_rows((1 << other) - 1, mate_bits)
-    reached = frontier = unmatched & -unmatched
-    while frontier:
-        frontier = _or_rows(_or_rows(frontier, adj), mate_bits) & ~reached
-        reached |= frontier
-    return SideSubset(side, reached, width)
+    # opening[r]: the last rows of the cell columns whose first row is r
+    opening: list[list[int]] = [[] for _ in range(p.n)]
+    for b in rows[1:]:
+        opening[(b & -b).bit_length()].append(b.bit_length())
+    ends: list[int] = []  # the last rows of the open columns, ascending
+    rooks = 0
+    for r in range(1, p.n):
+        for last in opening[r]:
+            insort(ends, last)
+        del ends[: bisect_left(ends, r)]  # columns that ended below r
+        if ends:
+            del ends[0]
+            rooks += 1
+    return rooks

@@ -179,7 +179,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
         if h is not None and h != rep.h_vector:
             raise ConsistencyError(f"recursion h-vector {rep.h_vector} vs complex {h}")
         # -a = d - r(P), the paper's directed-cut packing number, by a
-        # polynomial matching
+        # greedy matching sweep
         rooks = rook_number(p)
         if rooks != rep.regularity:
             raise ConsistencyError(

@@ -4,7 +4,8 @@ The convex criterion quantifies over nonempty proper subsets T of X:
 whenever (a) N_Y(T) is a neighbor vertical interval and (b) Y \\ N_Y(T)
 pulls back exactly to X \\ T along a neighbor horizontal interval, the
 ring is Gorenstein only if |N_Y(T)| = |T| + 1. Matching failure (no
-perfect matching on the side graph) rules the ring out first.
+perfect matching on the side graph, Hall's condition failing) rules the
+ring out first: at once when m != n, and otherwise by the same scan.
 
 Such an admissible T is fixed by I = N_Y(T): a column in T has all its
 levels in I, and by (b) a column outside T has a level in Y \\ I, so
@@ -22,10 +23,21 @@ prefix and a suffix of the columns and Y \\ I a prefix and a suffix of
 the levels, so every OR the checks need joins a prefix OR to a suffix
 OR, built once per table. The scan thus costs a constant number of
 bit-set operations per interval, O(m^2 (m + n) / w) word operations for
-w-bit words, and the Hall gate one maximum matching.
+w-bit words.
+
 This scan is the package's one form of the convex criterion: the
 literal sweep over all 2^m column sets, each condition checked as
 written, is the oracle the tests compare it with.
+
+The graph is convex (each column's levels form an interval), so Hall's
+condition needs checking only on level intervals (Glover, "Maximum
+matching in a convex bipartite graph", 1967). The columns of a violator
+T split along the maximal intervals of N_Y(T), and one part is deficient
+inside its interval J; every column with levels inside J joins it, and
+shrinking J to the hull of those columns' levels keeps them. That hull
+starts where a column starts and ends where a column ends, so it is one
+of the scanned I, and Hall fails exactly when some T_I = {x : N(x) is
+inside I} has |T_I| > |I|: one comparison per interval.
 
 For stacks two shortcuts exist: the level-set test (m = n and every
 admissible column set T has |N_Y(T)| = |T| + 1) and the inside-corner
@@ -40,15 +52,7 @@ from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
-from .bigraph import (
-    BipartiteGraph,
-    SideSubset,
-    _contiguous,
-    build_graph,
-    hall_violator,
-    neighbors_x,
-    neighbors_y,
-)
+from .bigraph import SideSubset, _contiguous, build_graph
 from .errors import NotConvex, NotStack
 from .polyomino import Polyomino, cells_at_or_above, corners, heights, is_convex, is_stack
 
@@ -86,25 +90,18 @@ class GorensteinVerdict(NamedTuple):
         return self.gorenstein
 
 
-def _hall_verdict(g: BipartiteGraph, method: str) -> GorensteinVerdict | None:
-    """Matching-based gate; returns a failing verdict or None to continue."""
-    if g.m != g.n:
-        if g.m < g.n:
-            subset = SideSubset("Y", (1 << g.n) - 1, g.n)
-            observed, required = g.m, g.n
-        else:
-            subset = SideSubset("X", (1 << g.m) - 1, g.m)
-            observed, required = g.n, g.m
-        return GorensteinVerdict(
-            False, Violation("hall", subset, observed, required), (), method
-        )
-    viol = hall_violator(g)
-    if viol is not None:
-        observed = len(neighbors_y(g, viol) if viol.side == "X" else neighbors_x(g, viol))
-        return GorensteinVerdict(
-            False, Violation("hall", viol, observed, len(viol)), (), method
-        )
-    return None
+def _box_verdict(p: Polyomino, method: str) -> GorensteinVerdict | None:
+    """Hall's condition on the larger side when m != n: a failing verdict,
+    or None when the box is square."""
+    if p.m == p.n:
+        return None
+    if p.m < p.n:
+        subset, observed = SideSubset("Y", (1 << p.n) - 1, p.n), p.m
+    else:
+        subset, observed = SideSubset("X", (1 << p.m) - 1, p.m), p.n
+    return GorensteinVerdict(
+        False, Violation("hall", subset, observed, len(subset)), (), method
+    )
 
 
 def _prefix_suffix_or(table) -> tuple[list[int], list[int]]:
@@ -121,15 +118,17 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     """Interval-scan test for convex polyominoes.
 
     Takes the admissible T in increasing bit order; the first with
-    |N_Y(T)| != |T| + 1 becomes the violation. When the verdict is
-    positive every admissible T is returned as a certificate.
+    |N_Y(T)| != |T| + 1 becomes the violation. A Hall failure comes
+    first: the whole larger side when m != n, otherwise the least, in
+    bit order, of the column sets T_I with |T_I| > |I|. When the verdict
+    is positive every admissible T is returned as a certificate.
     """
     if not is_convex(p):
         raise NotConvex("the convex Gorenstein test needs a convex polyomino")
-    g = build_graph(p)
-    gate = _hall_verdict(g, "convex")
+    gate = _box_verdict(p, "convex")
     if gate is not None:
         return gate
+    g = build_graph(p)
     m, n = g.m, g.n
     full_x = (1 << m) - 1
     full_y = (1 << n) - 1
@@ -160,15 +159,19 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     pre_adj_y, suf_adj_y = _prefix_suffix_or(g.adj_y)
     pre_hstep, suf_hstep = _prefix_suffix_or(g.hstep)
     admissible = []
+    deficient = []
     for low, rest_low in out_low.items():
         lo = low.bit_length() - 1
         for top in tops[bisect_right(tops, low) :]:
             rest = rest_low | out_top[top]
+            ival = top - low
+            # T = X \ rest has N_Y(T) inside I: Hall fails when |T| > |I|
+            if rest.bit_count() + ival.bit_count() < m:
+                deficient.append(full_x ^ rest)
             # X \ T = N_X(Y \ I) must be an interval: a cheap first filter;
             # T = X is out too, since N_Y(X) = Y != I
             if not rest or not _contiguous(rest):
                 continue
-            ival = top - low
             x_lo, x_hi = (rest & -rest).bit_length() - 1, rest.bit_length()
             # N_Y(T) = I, and every step of I witnessed inside T
             if (
@@ -185,6 +188,18 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
             ):
                 continue
             admissible.append((full_x ^ rest, ival))
+    if deficient:
+        t = min(deficient)
+        nbits = 0
+        for x, a in enumerate(g.adj_x[1:]):
+            if t >> x & 1:
+                nbits |= a
+        return GorensteinVerdict(
+            False,
+            Violation("hall", SideSubset("X", t, m), nbits.bit_count(), t.bit_count()),
+            (),
+            "convex",
+        )
     admissible.sort()
     certs = []
     for t, nbits in admissible:
@@ -207,19 +222,22 @@ def is_gorenstein_stack_subsets(p: Polyomino) -> GorensteinVerdict:
     max N_Y(T)) forces T to be a full height level set, so only the sets
     {x : height(x) <= s} for attained heights s < n need the cardinality
     check. Nonempty T only; smaller s first.
+
+    Only the box gate precedes it: every column holds level 1, so the
+    only nonempty T_I of the Hall scan are these level sets, and
+    |T_s| = s - 1 < s whenever the check passes.
     """
     if not is_stack(p):
         raise NotStack("the level-set Gorenstein test needs a stack polyomino")
-    g = build_graph(p)
-    gate = _hall_verdict(g, "stack-subsets")
+    gate = _box_verdict(p, "stack-subsets")
     if gate is not None:
         return gate
     hs = heights(p)
     certs = []
-    for s in sorted({h for h in hs if h < g.n}):
+    for s in sorted({h for h in hs if h < p.n}):
         low = [i for i, h in enumerate(hs, start=1) if h <= s]
-        t_sub = SideSubset.from_indices("X", low, g.m)
-        n_sub = SideSubset("Y", (1 << s) - 1, g.n)
+        t_sub = SideSubset.from_indices("X", low, p.m)
+        n_sub = SideSubset("Y", (1 << s) - 1, p.n)
         if s != len(t_sub) + 1:
             return GorensteinVerdict(
                 False,

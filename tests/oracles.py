@@ -221,26 +221,22 @@ def brute_perfect_matching(p):
     return False
 
 
-def recursive_kuhn_matching(p):
-    """Kuhn's augmenting paths written recursively, neighbours in level
-    order: the matching max_matching must reproduce, as x -> y."""
-    vs = vertex_set(p)
-    m = max(c for c, _ in vs)
-    n = max(r for _, r in vs)
-    match_y = {}
+def brute_rook_number(p):
+    """The most cells with no two in one cell row or cell column, by
+    recursion over the cell columns: each column places no rook, or one
+    on any of its cells whose row is still free."""
+    cols = max(c for c, _ in p.cells)
 
-    def augment(i, visited):
-        for j in range(1, n + 1):
-            if (i, j) in vs and j not in visited:
-                visited.add(j)
-                if j not in match_y or augment(match_y[j], visited):
-                    match_y[j] = i
-                    return True
-        return False
+    def best(c, used):
+        if c > cols:
+            return 0
+        top = best(c + 1, used)
+        for col, r in p.cells:
+            if col == c and r not in used:
+                top = max(top, 1 + best(c + 1, used | {r}))
+        return top
 
-    for i in range(1, m + 1):
-        augment(i, set())
-    return {i: j for j, i in match_y.items()}
+    return best(1, frozenset())
 
 
 def brute_independent_sets(vertices, forbidden):

@@ -11,7 +11,6 @@ from itertools import combinations
 
 import pytest
 
-from polyrings.bigraph import build_graph, hall_violator, max_matching
 from polyrings.errors import BadParameters
 from polyrings.gorenstein import (
     is_gorenstein_convex,
@@ -40,7 +39,7 @@ from polyrings.srcomplex import (
     transport_facet,
     transport_facet_inverse,
 )
-from polyrings.toric import initial_ideal, mono_str, variable_order, verify_groebner
+from polyrings.toric import initial_ideal, mono_str, verify_groebner
 from oracles import (
     brute_deltas,
     brute_directed_cuts,
@@ -191,12 +190,6 @@ def test_criterion_08():
         assert p.m + p.n >= 3 and induced_connected(vs, xs, ys)
         assert all(induced_connected(vs, xs - {i}, ys) for i in xs)
         assert all(induced_connected(vs, xs, ys - {j}) for j in ys)
-        g = build_graph(p)
-        assert (
-            (len(max_matching(g)) == p.m == p.n)
-            == (hall_violator(g) is None)
-            == brute_perfect_matching(p)
-        )
         columns = {x: neigh_y(vs, {x}) for x in xs}
         for r in range(1, p.m):
             for t in map(set, combinations(range(1, p.m + 1), r)):
@@ -209,6 +202,11 @@ def test_criterion_08():
                 lhs = pullback_equal and horizontal_interval(vs, p.cells, u)
                 has_edge = any(i not in t and j in u for i, j in vs)
                 assert lhs == (has_edge and induced_connected(vs, xs - t, u))
+    # the scan reports a Hall violation exactly when no perfect matching exists
+    for p in [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(9)):
+        v = is_gorenstein_convex(p)
+        hall = v.violation is not None and v.violation.kind == "hall"
+        assert hall == (not brute_perfect_matching(p)), sorted(p.cells)
 
 
 def test_criterion_09():

@@ -1,14 +1,10 @@
 from itertools import combinations
 
-from polyrings.bigraph import (
-    SideSubset,
-    build_graph,
-    hall_violator,
-    max_matching,
-    neighbors_x,
-    neighbors_y,
-    rook_number,
-)
+import pytest
+
+from polyrings.bigraph import build_graph, rook_number
+from polyrings.errors import NotConvex
+from polyrings.gorenstein import is_gorenstein_convex
 from polyrings.invariants import full_report
 from polyrings.polyomino import Polyomino
 from polyrings.srcomplex import invariants_from_complex
@@ -16,10 +12,12 @@ from oracles import (
     brute_deltas,
     brute_directed_cuts,
     brute_max_disjoint_cuts,
+    brute_perfect_matching,
+    brute_rook_number,
     horizontal_interval,
     induced_connected,
+    neigh_x,
     neigh_y,
-    recursive_kuhn_matching,
     vertical_interval,
     vertex_set,
 )
@@ -66,11 +64,10 @@ def test_every_line_has_at_least_two_vertices():
 
 def test_neighbors_vertical_fixture():
     p = fx("vertical")
-    g = build_graph(p)
     vs = vertex_set(p)
-    assert neighbors_y(g, SideSubset.from_indices("X", [1], g.m)).indices() == (3, 4)
-    assert neighbors_y(g, SideSubset.from_indices("X", [1, 4], g.m)).indices() == (1, 2, 3, 4)
-    assert neighbors_y(g, SideSubset.from_indices("X", [1, 2], g.m)).indices() == (1, 2, 3, 4)
+    assert neigh_y(vs, {1}) == {3, 4}
+    assert neigh_y(vs, {1, 4}) == {1, 2, 3, 4}
+    assert neigh_y(vs, {1, 2}) == {1, 2, 3, 4}
     # same neighbor set, but only T2 = {1, 2} steps through contiguous levels
     assert vertical_interval(vs, p.cells, {1, 2})
     assert not vertical_interval(vs, p.cells, {1, 4})
@@ -80,17 +77,10 @@ def test_neighbors_vertical_fixture():
 
 def test_neighbors_fig6():
     p = fx("fig6")
-    g = build_graph(p)
-    assert neighbors_x(g, SideSubset.from_indices("Y", [1, 5], g.n)).indices() == (1, 2, 3, 4)
-    u1 = SideSubset.from_indices("Y", [2, 3], g.n)
-    assert neighbors_x(g, u1).indices() == (1, 2, 3, 4, 5)
-    assert horizontal_interval(vertex_set(p), p.cells, {2, 3})
-
-
-def test_empty_subset_has_no_neighbors():
-    g = build_graph(fx("fig6"))
-    assert len(neighbors_y(g, SideSubset.from_indices("X", [], g.m))) == 0
-    assert len(neighbors_x(g, SideSubset.from_indices("Y", [], g.n))) == 0
+    vs = vertex_set(p)
+    assert neigh_x(vs, {1, 5}) == {1, 2, 3, 4}
+    assert neigh_x(vs, {2, 3}) == {1, 2, 3, 4, 5}
+    assert horizontal_interval(vs, p.cells, {2, 3})
 
 
 def test_fig6_residual_graphs():
@@ -113,48 +103,50 @@ def test_singleton_neighbor_sets_are_intervals():
 
 
 def test_fig9_perfect_matching():
-    g = build_graph(fx("fig9"))
-    vs = vertex_set(fx("fig9"))
-    assert hall_violator(g) is None
+    p = fx("fig9")
+    vs = vertex_set(p)
+    v = is_gorenstein_convex(p)
+    assert v.violation is None or v.violation.kind != "hall"
     witness = {(1, 1), (2, 2), (3, 4), (4, 3)}
     assert witness <= vs
-    mm = max_matching(g)
-    assert len(mm) == 4
-    assert all((i, j) in vs for i, j in mm.items())
+    assert brute_perfect_matching(p)
 
 
 def test_unequal_sides_never_match():
     p = fx("figb")
-    g = build_graph(p)
-    assert g.m != g.n
-    assert len(max_matching(g)) < max(g.m, g.n)
-    assert hall_violator(g) is not None
+    assert p.m != p.n
+    v = is_gorenstein_convex(p)
+    assert v.violation.kind == "hall"
+    assert (v.violation.subset.side, len(v.violation.subset)) == ("X", p.m)
+    assert not brute_perfect_matching(p)
 
 
-def test_matching_equals_recursive_kuhn():
-    shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
-    for p in shapes:
-        assert max_matching(build_graph(p)) == recursive_kuhn_matching(p), sorted(p.cells)
+def test_rook_number_against_the_brute_recursion():
+    for p in [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(9)):
+        assert rook_number(p) == brute_rook_number(p), sorted(p.cells)
 
 
-def test_hall_verdict_on_a_wide_staircase_band():
-    # cells (i, i) and (i + 1, i): augmenting paths grow to about 0.68 k
-    # steps, past Python's recursion limit at k = 1500
+def test_rook_number_rejects_a_non_convex_shape():
+    with pytest.raises(NotConvex):
+        rook_number(fx("fig1_left"))
+
+
+def test_rook_number_on_a_wide_staircase_band():
+    # cells (i, i) and (i + 1, i): 1500 cell columns, each open for two rows
     k = 1500
     band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
-    g = build_graph(band)
-    assert g.m == g.n == k + 1
-    assert hall_violator(g) is None
+    assert rook_number(band) == k
 
 
 def test_hall_violator_is_violating():
     for p in [fx(name) for name in ("fig8", "ex3", "fig12_b")] + list(convex_upto(8)):
-        g = build_graph(p)
-        t = hall_violator(g)
-        if t is None:
+        v = is_gorenstein_convex(p)
+        if v.violation is None or v.violation.kind != "hall":
             continue
-        nbors = neighbors_y(g, t) if t.side == "X" else neighbors_x(g, t)
-        assert len(nbors) < len(t)
+        vs = vertex_set(p)
+        t = set(v.violation.subset.indices())
+        nbors = neigh_y(vs, t) if v.violation.subset.side == "X" else neigh_x(vs, t)
+        assert v.violation.observed == len(nbors) < len(t) == v.violation.required
 
 
 def test_fig13_cut_examples():
@@ -173,14 +165,12 @@ def test_cut_criterion_matches_definition():
     for name in SMALL_FIXTURES:
         p = fx(name)
         vs = vertex_set(p)
-        g = build_graph(p)
-        for xb in range(1 << g.m):
-            tx = SideSubset("X", xb, g.m)
-            ny = neighbors_y(g, tx).bits
-            for yb in range(1 << g.n):
-                ty = SideSubset("Y", yb, g.n)
-                _, minus = brute_deltas(vs, set(tx.indices()), set(ty.indices()))
-                assert (not minus) == (not ny & ~ty.bits), (name, xb, yb)
+        xs, ys = range(1, p.m + 1), range(1, p.n + 1)
+        for tx in (set(t) for k in range(p.m + 1) for t in combinations(xs, k)):
+            ny = neigh_y(vs, tx)
+            for ty in (set(t) for k in range(p.n + 1) for t in combinations(ys, k)):
+                _, minus = brute_deltas(vs, tx, ty)
+                assert (not minus) == (ny <= ty), (name, tx, ty)
 
 
 def row_family(p):

@@ -26,6 +26,17 @@ def square(k):
     return Polyomino([(c, r) for c in range(1, k) for r in range(1, k)])
 
 
+def interval_column_sets(p):
+    """(T_I as a bit set, |I|) for every level interval I, where T_I holds
+    the columns whose levels all lie in I."""
+    vs = vertex_set(p)
+    for a in range(1, p.n + 1):
+        for b in range(a, p.n + 1):
+            ival = set(range(a, b + 1))
+            t = [x for x in range(1, p.m + 1) if neigh_y(vs, {x}) <= ival]
+            yield sum(1 << (x - 1) for x in t), len(ival)
+
+
 def test_fig8_violation():
     v = is_gorenstein_convex(fx("fig8"))
     assert not v.gorenstein
@@ -131,6 +142,12 @@ def test_interval_scan_against_the_literal_sweep():
             nbors = neigh_y(vs, t) if v.violation.subset.side == "X" else neigh_x(vs, t)
             assert v.violation.observed == len(nbors) < len(t) == v.violation.required
             assert got == [] and not brute_gorenstein_convex(p)
+            if p.m == p.n:
+                # the least, in bit order, of the deficient T_I over all
+                # level intervals I
+                assert v.violation.subset.bits == min(
+                    bits for bits, size in interval_column_sets(p) if bits.bit_count() > size
+                )
             continue
         want = brute_admissible(p)
         bad = next((k for k, (t, ny) in enumerate(want) if len(ny) != len(t) + 1), None)
@@ -178,7 +195,7 @@ def test_input_guards():
         is_gorenstein_stack_subsets(fx("fig9"))
     with pytest.raises(NotStack):
         is_gorenstein_stack_corners(fx("fig9"))
-    # 27 x 2 vertex box: no size guard, the Hall gate decides
+    # 27 x 2 vertex box: no size guard, the box gate decides
     wide = Polyomino([(c, 1) for c in range(1, 27)])
     v = is_gorenstein_convex(wide)
     assert not v.gorenstein and v.violation.kind == "hall"
@@ -188,7 +205,7 @@ def test_input_guards():
 
 def test_wide_staircase_band_verdict():
     # cells (i, i) and (i + 1, i), m = n = 1501: the scan meets 1127247
-    # level intervals, and the Hall gate passes
+    # level intervals, and Hall's condition holds on every one
     k = 1500
     band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
     v = is_gorenstein_convex(band)

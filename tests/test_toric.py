@@ -1,8 +1,8 @@
 import pytest
 
-from polyrings.errors import BadParameters, ConsistencyError, GroebnerUnverified
+from polyrings.errors import BadParameters, GroebnerUnverified
 from polyrings.invariants import full_report
-from polyrings.polyomino import Polyomino, heights, parse, transpose
+from polyrings.polyomino import heights, parse, transpose
 from polyrings.srcomplex import build_complex
 from polyrings.toric import (
     VarOrder,
