@@ -14,6 +14,6 @@ polyrings.invariants.full_report; importing the package loads the layer
 modules and defines no other name.
 """
 
-from . import bigraph, errors, fixtures, generate, gorenstein, invariants, polyomino, srcomplex, toric
+from . import errors, fixtures, generate, gorenstein, invariants, polyomino, srcomplex, toric
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from .bigraph import rook_number
 from .errors import (
     ConsistencyError,
     DecompositionFailed,
@@ -25,7 +24,7 @@ from .gorenstein import (
     is_gorenstein_stack_corners,
     is_gorenstein_stack_subsets,
 )
-from .invariants import decompose, full_report, multiplicity_recursive
+from .invariants import decompose, full_report, multiplicity_recursive, rook_number
 from .polyomino import (
     Polyomino,
     corners,

@@ -1,5 +1,14 @@
 """Gorenstein classification of convex and stack polyominoes.
 
+The criterion lives on the bipartite graph of P. X carries one node per
+vertex column (x_1..x_m), Y one per vertex level (y_1..y_n), and (i, j)
+is an edge exactly when the lattice point (i, j) is a corner of some
+cell. Subsets of a side are bit sets of the side's width (Python ints,
+so any width), bit i-1 standing for x_i (or y_i). The scan below keeps
+the graph as two tables, the levels of each column and the columns of
+each level; the per-subset interval, pull-back and connectivity
+conditions are written out on plain sets only in the tests' oracles.
+
 The convex criterion quantifies over nonempty proper subsets T of X:
 whenever (a) N_Y(T) is a neighbor vertical interval and (b) Y \\ N_Y(T)
 pulls back exactly to X \\ T along a neighbor horizontal interval, the
@@ -14,16 +23,26 @@ test therefore scans level intervals I != Y instead of the 2^m column
 sets, and only those that start where some column's levels start and
 end where some column's levels end: at most m^2 of them, and at most m
 for a stack, whose columns all start at level 1. Each I gives its one
-candidate T, kept when N_Y(T) = I (so T is nonempty) and the step and
-horizontal-interval checks pass; the pull-back equality then holds by
-the choice of T. X \\ T is the union of the columns with a level below
-I and those with a level above it, each set built once per end of I by
-accumulation. Past the filter that makes X \\ T an interval, T is a
-prefix and a suffix of the columns and Y \\ I a prefix and a suffix of
-the levels, so every OR the checks need joins a prefix OR to a suffix
-OR, built once per table. The scan thus costs a constant number of
-bit-set operations per interval, O(m^2 (m + n) / w) word operations for
-w-bit words.
+candidate T, kept when N_Y(T) = I (so T is nonempty) and both neighbor
+sets are stepped through; the pull-back equality then holds by the
+choice of T. X \\ T is the union of the columns with a level below I
+and those with a level above it, each set built once per end of I by
+accumulation.
+
+The step conditions need no table of their own (the overlap lemma). In
+a convex polyomino consecutive vertex columns share a cell column, so
+their level sets overlap in at least two levels: the levels of any run
+of consecutive columns form an interval, and every step inside it lies
+on a cell of the run. The same holds for consecutive levels. Past the
+filter that makes X \\ T an interval, T is a prefix and a suffix of the
+columns and Y \\ I a prefix and a suffix of the levels, so
+N_Y(T) = A u B and N_X(Y \\ I) = C u D, each part a run read off a
+prefix or suffix OR of its table. Such a union is stepped through
+exactly when its two parts share a point or one of them is empty.
+Since N_X(Y \\ I) is X \\ T by the choice of T, already an interval, it
+needs only that check. The scan thus costs a constant number of bit-set
+operations per interval, O(m^2 (m + n) / w) word operations for w-bit
+words.
 
 This scan is the package's one form of the convex criterion: the
 literal sweep over all 2^m column sets, each condition checked as
@@ -52,9 +71,58 @@ from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
-from .bigraph import SideSubset, _contiguous, build_graph
 from .errors import NotConvex, NotStack
 from .polyomino import Polyomino, cells_at_or_above, corners, heights, is_convex, is_stack
+
+
+class SideSubset:
+    """Immutable subset of X or Y as a bit set of the given width; equal
+    to another SideSubset with the same side, bits and width."""
+
+    __slots__ = ("side", "bits", "width")
+
+    def __init__(self, side: str, bits: int, width: int):
+        if side not in ("X", "Y"):
+            raise ValueError(f"side must be 'X' or 'Y', not {side!r}")
+        if width < 0 or bits < 0 or bits >> width:
+            raise ValueError("bits outside the declared width")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "width", width)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SideSubset is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SideSubset)
+            and (self.side, self.bits, self.width) == (other.side, other.bits, other.width)
+        )
+
+    def __hash__(self):
+        return hash((self.side, self.bits, self.width))
+
+    def __repr__(self):
+        return f"SideSubset(side={self.side!r}, bits={self.bits!r}, width={self.width!r})"
+
+    @classmethod
+    def from_indices(cls, side: str, indices, width: int) -> "SideSubset":
+        bits = 0
+        for i in indices:
+            if not 1 <= i <= width:
+                raise ValueError(f"index {i} outside 1..{width}")
+            bits |= 1 << (i - 1)
+        return cls(side, bits, width)
+
+    def indices(self) -> tuple[int, ...]:
+        return tuple(i + 1 for i in range(self.width) if self.bits >> i & 1)
+
+    def __len__(self) -> int:
+        return self.bits.bit_count()
+
+    def __str__(self) -> str:
+        tag = self.side.lower()
+        return "{" + ",".join(f"{tag}{i}" for i in self.indices()) + "}"
 
 
 class Violation(NamedTuple):
@@ -104,14 +172,24 @@ def _box_verdict(p: Polyomino, method: str) -> GorensteinVerdict | None:
     )
 
 
-def _prefix_suffix_or(table) -> tuple[list[int], list[int]]:
-    """pre[i] = OR of table[1..i] and suf[i] = OR of table[i+1..], for a
-    table indexed from 1 like the graph's adjacency and step masks."""
-    rows = table[1:]
-    pre = list(accumulate(rows, or_, initial=0))
-    suf = list(accumulate(reversed(rows), or_, initial=0))
+def _prefix_suffix_or(table: list[int]) -> tuple[list[int], list[int]]:
+    """pre[i] = OR of table[:i] and suf[i] = OR of table[i:]."""
+    pre = list(accumulate(table, or_, initial=0))
+    suf = list(accumulate(reversed(table), or_, initial=0))
     suf.reverse()
     return pre, suf
+
+
+def _contiguous(bits: int) -> bool:
+    """The set bits form one run (or none): adding the lowest set bit
+    carries through the first run and clears it."""
+    return bits & (bits + (bits & -bits)) == 0
+
+
+def _joined(a: int, b: int) -> int:
+    """The union of two runs of neighbors, or 0 when both are nonempty
+    and share no point: the union is then not stepped through."""
+    return 0 if a and b and not a & b else a | b
 
 
 def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
@@ -128,15 +206,23 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     gate = _box_verdict(p, "convex")
     if gate is not None:
         return gate
-    g = build_graph(p)
-    m, n = g.m, g.n
+    m, n = p.m, p.n
+    # levels[x - 1] bit j - 1 and columns[j - 1] bit x - 1: (x, j) is a
+    # vertex, a corner of some cell
+    levels = [0] * m
+    columns = [0] * n
+    for c, r in p.cells:
+        levels[c - 1] |= 3 << (r - 1)
+        levels[c] |= 3 << (r - 1)
+        columns[r - 1] |= 3 << (c - 1)
+        columns[r] |= 3 << (c - 1)
     full_x = (1 << m) - 1
     full_y = (1 << n) - 1
     # out_low[low]: the columns with a level below `low`; out_top[top]:
     # the columns with a level at `top` or above; X \ T is their union
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
-    for x, a in enumerate(g.adj_x[1:]):
+    for x, a in enumerate(levels):
         low, top = a & -a, 1 << a.bit_length()
         starts[low] = starts.get(low, 0) | 1 << x
         ends[top] = ends.get(top, 0) | 1 << x
@@ -151,13 +237,10 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     for top in reversed(tops):
         out_top[top] = acc
         acc |= ends[top]
-    # past the contiguity filter X \ T is an interval of columns and
-    # Y \ I the levels below and above the interval I, so each OR over
-    # T or Y \ I joins a prefix OR to a suffix OR of the table
-    pre_adj_x, suf_adj_x = _prefix_suffix_or(g.adj_x)
-    pre_vstep, suf_vstep = _prefix_suffix_or(g.vstep)
-    pre_adj_y, suf_adj_y = _prefix_suffix_or(g.adj_y)
-    pre_hstep, suf_hstep = _prefix_suffix_or(g.hstep)
+    # past the contiguity filter T is a prefix and a suffix of the
+    # columns and Y \ I a prefix and a suffix of the levels
+    pre_x, suf_x = _prefix_suffix_or(levels)
+    pre_y, suf_y = _prefix_suffix_or(columns)
     admissible = []
     deficient = []
     for low, rest_low in out_low.items():
@@ -173,25 +256,18 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
             if not rest or not _contiguous(rest):
                 continue
             x_lo, x_hi = (rest & -rest).bit_length() - 1, rest.bit_length()
-            # N_Y(T) = I, and every step of I witnessed inside T
+            # N_Y(T) = I and N_X(Y \ I), each stepped through
             if (
                 ival == full_y
-                or pre_adj_x[x_lo] | suf_adj_x[x_hi] != ival
-                or (ival & ival >> 1) & ~(pre_vstep[x_lo] | suf_vstep[x_hi])
-            ):
-                continue
-            # N_X(Y \ I) an interval, every step witnessed inside Y \ I
-            hi = top.bit_length() - 1
-            nbits = pre_adj_y[lo] | suf_adj_y[hi]
-            if not _contiguous(nbits) or (nbits & nbits >> 1) & ~(
-                pre_hstep[lo] | suf_hstep[hi]
+                or _joined(pre_x[x_lo], suf_x[x_hi]) != ival
+                or not _joined(pre_y[lo], suf_y[top.bit_length() - 1])
             ):
                 continue
             admissible.append((full_x ^ rest, ival))
     if deficient:
         t = min(deficient)
         nbits = 0
-        for x, a in enumerate(g.adj_x[1:]):
+        for x, a in enumerate(levels):
             if t >> x & 1:
                 nbits |= a
         return GorensteinVerdict(

@@ -42,6 +42,15 @@ this is min(n - 1, min_j (j - 1 + w_j)), and a(P) = reg(P) - (m + n - 1).
 It is the rook number of the stack, which is the regularity of every
 L-convex polyomino (Ene, Herzog, Qureshi, Romeo 2021).
 
+rook_number computes r(P), the most cells of P no two in one cell row or
+cell column: a maximum matching of cell columns to cell rows. On a
+convex polyomino the rows of each cell column form an interval, so the
+matching needs no augmenting paths (Glover, "Maximum matching in a
+convex bipartite graph", 1967) and a greedy sweep finds it. Then
+-a = d - r(P) on a stack is the paper's maximum number of disjoint
+directed cuts, whose 2^(m+n) sweep lives in the tests' oracles;
+invariants --oracle checks the identity on every stack.
+
 The j = 1 term alone gives the bounding-box bounds a <= -max(m, n) and
 reg <= min(m, n) - 1. They are not always attained: a tall narrow
 tower on a wide low base beats them, the smallest case being the 5-cell
@@ -51,6 +60,7 @@ are never reported as values; full_report names a gap in its notes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from math import comb
 from operator import add
 from typing import NamedTuple
@@ -90,6 +100,36 @@ def regularity_stack_exact(p: Polyomino) -> int:
     if not is_stack(p):
         raise NotStack("regularity formula needs a stack polyomino")
     return _exact_pair(p)[1]
+
+
+def rook_number(p: Polyomino) -> int:
+    """r(P): the most cells of P with no two in one cell row or column,
+    a maximum matching of cell columns 1..m-1 to cell rows 1..n-1.
+
+    Glover's greedy: the cell rows are taken in ascending order, and each
+    gets the open cell column whose rows end first. Any maximum matching
+    can be exchanged into the greedy one row at a time, since the column
+    the greedy takes stays open no longer than the one it displaces.
+    """
+    if not is_convex(p):
+        raise NotConvex("the rook number sweep needs a convex polyomino")
+    rows = [0] * p.m
+    for c, r in p.cells:
+        rows[c] |= 1 << (r - 1)
+    # opening[r]: the last rows of the cell columns whose first row is r
+    opening: list[list[int]] = [[] for _ in range(p.n)]
+    for b in rows[1:]:
+        opening[(b & -b).bit_length()].append(b.bit_length())
+    ends: list[int] = []  # the last rows of the open columns, ascending
+    rooks = 0
+    for r in range(1, p.n):
+        for last in opening[r]:
+            insort(ends, last)
+        del ends[: bisect_left(ends, r)]  # columns that ended below r
+        if ends:
+            del ends[0]
+            rooks += 1
+    return rooks
 
 
 def _box_bounds(p: Polyomino) -> tuple[int, int]:

@@ -465,15 +465,20 @@ def _check_transport_args(f: frozenset, i: int, h: int, m: int):
         raise NotAFacet(f"bad transport parameters i={i}, h={h}, m={m}")
 
 
+def _cycle_columns(f: frozenset, cycle: list[int], h: int) -> frozenset:
+    """f with its vertices on levels <= h moved along a cycle of columns:
+    column cycle[t] goes to cycle[t + 1], and the last to cycle[0]."""
+    dest = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    return frozenset((dest.get(a, a), k) if k <= h else (a, k) for a, k in f)
+
+
 def transport_facet(f: frozenset, i: int, h: int, m: int) -> frozenset:
     """Carry a facet avoiding (i, h) across the top-cell deletion.
 
     Identity when i == 1 or i == m (the cell deletion then happens in the
-    pivot's own column and nothing moves). Otherwise three passes over
-    levels k <= h with every membership test against the input set: clear
-    and refill column m from column i, then shift columns i+1..m-1 down
-    by one, then drop what column m held onto column m-1. Net effect is a
-    circular column rearrangement on the low levels.
+    pivot's own column and nothing moves). Otherwise, on levels k <= h,
+    column i moves to column m and each of the columns i+1..m one to the
+    left: a cycle of the columns i..m.
     """
     orig = frozenset(f)
     _check_transport_args(orig, i, h, m)
@@ -481,52 +486,17 @@ def transport_facet(f: frozenset, i: int, h: int, m: int) -> frozenset:
         raise NotAFacet(f"facet must avoid the pivot vertex {(i, h)}")
     if i == 1 or i == m:
         return orig
-    cur = set(orig)
-    for k in range(1, h + 1):
-        if (m, k) in orig:
-            cur.remove((m, k))
-        if (i, k) in orig:
-            cur.remove((i, k))
-            cur.add((m, k))
-    for j in range(i + 1, m):
-        for k in range(1, h + 1):
-            if (j, k) in orig:
-                cur.remove((j, k))
-                cur.add((j - 1, k))
-    for k in range(1, h + 1):
-        if (m, k) in orig:
-            cur.add((m - 1, k))
-    if len(cur) != len(orig):
-        raise NotAFacet("transport collapsed two vertices; input was not a facet")
-    return frozenset(cur)
+    return _cycle_columns(orig, [i, *range(m, i, -1)], h)
 
 
 def transport_facet_inverse(f: frozenset, i: int, h: int, m: int) -> frozenset:
-    """Inverse rearrangement: refill column i from column m, shift
-    columns i..m-2 up by one, restore column m from column m-1."""
+    """Inverse rearrangement: on levels k <= h, column m moves to column
+    i and each of the columns i..m-1 one to the right."""
     orig = frozenset(f)
     _check_transport_args(orig, i, h, m)
     if i == 1 or i == m:
         return orig
-    cur = set(orig)
-    for k in range(1, h + 1):
-        if (m - 1, k) in orig:
-            cur.remove((m - 1, k))
-    if i <= m - 2:
-        for j in range(m - 2, i - 1, -1):
-            for k in range(1, h + 1):
-                if (j, k) in orig:
-                    cur.remove((j, k))
-                    cur.add((j + 1, k))
-    for k in range(1, h + 1):
-        if (m, k) in orig:
-            cur.remove((m, k))
-            cur.add((i, k))
-        if (m - 1, k) in orig:
-            cur.add((m, k))
-    if len(cur) != len(orig):
-        raise NotAFacet("transport collapsed two vertices; input was not a facet")
-    return frozenset(cur)
+    return _cycle_columns(orig, [*range(i + 1, m + 1), i], h)
 
 
 def link_decompose(c: FlagComplex, v: Variable, f: frozenset) -> tuple[frozenset, frozenset]:

@@ -64,9 +64,10 @@ def mono_str(mono: Iterable[Variable]) -> str:
 class VarOrder:
     """A descending variable ranking inducing a revlex term order.
 
-    advisory is set when the ranking was produced mechanically for a
-    non-stack polyomino; such an order needs verify_groebner before the
-    initial ideal may be trusted.
+    advisory is set when variable_order ranked a non-stack polyomino,
+    whose inner minors need not be a Groebner basis under it. The flag is
+    only reported (the CLI prints it) and gates nothing: initial_ideal
+    checks every order but a stack's default one.
     """
 
     def __init__(self, ranked: Sequence[Variable], advisory: bool = False):
@@ -228,11 +229,13 @@ class InitialIdeal:
 def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     """Leading terms of the inner minors, one per minor.
 
-    For a stack with its height order this is the initial ideal outright;
-    any advisory order is first run through the Groebner check.
+    For a stack with its default height order this is the initial ideal
+    outright. Every other order, supplied by the caller or the default
+    one of a non-stack, is first run through the Groebner check.
     """
+    trusted = order is None and is_stack(p)
     order, minors, terms = _minor_terms(p, order)
-    if order.advisory and not _is_groebner(terms, order._pos):
+    if not trusted and not _is_groebner(terms, order._pos):
         raise GroebnerUnverified(
             "inner minors are not a Groebner basis for the given order"
         )

@@ -1,11 +1,14 @@
+"""The paper's bipartite graph of a convex polyomino, read through the
+oracles' neighbour sets: interval conditions, Hall's condition as the
+Gorenstein scan reports it, directed cuts and the rook number."""
+
 from itertools import combinations
 
 import pytest
 
-from polyrings.bigraph import build_graph, rook_number
 from polyrings.errors import NotConvex
 from polyrings.gorenstein import is_gorenstein_convex
-from polyrings.invariants import full_report
+from polyrings.invariants import full_report, rook_number
 from polyrings.polyomino import Polyomino
 from polyrings.srcomplex import invariants_from_complex
 from oracles import (
@@ -24,42 +27,6 @@ from oracles import (
 from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
 SMALL_FIXTURES = ("single_cell", "ex1", "ex3", "fig13", "figb", "fig9", "vertical")
-
-
-def edges_of(g):
-    """The edge set as read from adj_x, after checking adj_y agrees."""
-    pairs = [(i, j) for i in range(1, g.m + 1) for j in range(1, g.n + 1)]
-    by_x = {(i, j) for i, j in pairs if g.adj_x[i] >> (j - 1) & 1}
-    by_y = {(i, j) for i, j in pairs if g.adj_y[j] >> (i - 1) & 1}
-    assert by_x == by_y
-    return by_x
-
-
-def test_single_cell_is_complete_2x2():
-    g = build_graph(fx("single_cell"))
-    assert (g.m, g.n) == (2, 2)
-    assert edges_of(g) == {(1, 1), (1, 2), (2, 1), (2, 2)}
-
-
-def test_fig13_has_ten_edges():
-    g = build_graph(fx("fig13"))
-    assert (g.m, g.n) == (3, 4)
-    assert len(edges_of(g)) == 10
-
-
-def test_incidence_equals_vertex_set():
-    for name in CONVEX_FIXTURES:
-        p = fx(name)
-        assert edges_of(build_graph(p)) == vertex_set(p), name
-    for p in convex_upto(7):
-        assert edges_of(build_graph(p)) == vertex_set(p)
-
-
-def test_every_line_has_at_least_two_vertices():
-    for p in convex_upto(6):
-        g = build_graph(p)
-        assert all(g.adj_x[i].bit_count() >= 2 for i in range(1, g.m + 1))
-        assert all(g.adj_y[j].bit_count() >= 2 for j in range(1, g.n + 1))
 
 
 def test_neighbors_vertical_fixture():

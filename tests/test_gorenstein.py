@@ -162,6 +162,29 @@ def test_interval_scan_against_the_literal_sweep():
             assert (v.violation.observed, v.violation.required) == (len(ny), len(t) + 1)
 
 
+def test_overlap_lemma_on_the_oracles():
+    # T a prefix and a suffix of the columns with a nonempty gap: N_Y(T)
+    # is stepped through exactly when the parts' neighbour runs share a
+    # level or one is empty; the same for levels. The scan's step check.
+    cases = 0
+    for p in convex_upto(8):
+        vs = vertex_set(p)
+        for size, interval, neigh in (
+            (p.m, vertical_interval, neigh_y),
+            (p.n, horizontal_interval, neigh_x),
+        ):
+            for a in range(size + 1):
+                for b in range(a + 2, size + 2):
+                    head, tail = set(range(1, a + 1)), set(range(b, size + 1))
+                    if not head | tail:
+                        continue
+                    na, nb = neigh(vs, head), neigh(vs, tail)
+                    meet = not na or not nb or bool(na & nb)
+                    assert interval(vs, p.cells, head | tail) == meet, (sorted(p.cells), a, b)
+                    cases += 1
+    assert cases == 62326
+
+
 def test_square_box_past_the_old_sweep_limit():
     # m = 40 columns: no subset budget limits the verdict
     v = is_gorenstein_convex(square(40))

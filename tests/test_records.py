@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from polyrings.bigraph import SideSubset
 from polyrings.gorenstein import (
     Certificate,
     GorensteinVerdict,
+    SideSubset,
     Violation,
     is_gorenstein_convex,
 )
@@ -230,7 +230,7 @@ def test_cli_import_does_not_load_dataclasses():
         "import polyrings.cli; "
         "print(*(m in sys.modules for m in ('dataclasses', 'importlib.resources', 'heapq')))"
     )
-    layers = "bigraph errors fixtures generate gorenstein invariants polyomino srcomplex toric"
+    layers = "errors fixtures generate gorenstein invariants polyomino srcomplex toric"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60

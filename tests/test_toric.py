@@ -2,7 +2,7 @@ import pytest
 
 from polyrings.errors import BadParameters, GroebnerUnverified
 from polyrings.invariants import full_report
-from polyrings.polyomino import heights, parse, transpose
+from polyrings.polyomino import Polyomino, heights, parse, transpose
 from polyrings.srcomplex import build_complex
 from polyrings.toric import (
     VarOrder,
@@ -30,6 +30,11 @@ EX6_PRINTED = [
 EX7_PRINTED = [
     (2, 4), (2, 3), (2, 2), (1, 4), (1, 3), (1, 2),
     (4, 3), (4, 2), (4, 1), (3, 3), (3, 2), (3, 1), (5, 3), (5, 2),
+]
+# an order under which fig9's inner minors are no Groebner basis
+FIG9_BAD = [
+    (3, 3), (1, 1), (2, 1), (4, 3), (2, 4), (2, 3), (3, 1),
+    (3, 4), (1, 2), (4, 2), (2, 2), (1, 3), (3, 2),
 ]
 
 
@@ -182,16 +187,43 @@ def test_all_small_stacks_verify():
 
 def test_bad_order_fails_and_gates_the_ideal():
     p = fx("fig9")
-    bad = VarOrder(
-        [
-            (3, 3), (1, 1), (2, 1), (4, 3), (2, 4), (2, 3), (3, 1),
-            (3, 4), (1, 2), (4, 2), (2, 2), (1, 3), (3, 2),
-        ],
-        advisory=True,
-    )
+    bad = VarOrder(FIG9_BAD, advisory=True)
     assert not verify_groebner(p, bad)
     with pytest.raises(GroebnerUnverified):
         initial_ideal(p, bad)
+
+
+# the inner minors are no Groebner basis under any of these orders, which
+# are built without advisory=True: the check runs on every order a
+# caller supplies
+def test_unflagged_bad_order_leaves_the_report_unavailable():
+    p = Polyomino([(1, 1), (2, 1), (2, 2), (3, 2)])
+    order = VarOrder([
+        (3, 1), (3, 2), (2, 1), (4, 3), (1, 1), (2, 3), (1, 2), (3, 3), (2, 2), (4, 2),
+    ])
+    assert not verify_groebner(p, order)
+    with pytest.raises(GroebnerUnverified):
+        initial_ideal(p, order)
+    rep = full_report(p, order)
+    assert rep.h_vector is None and rep.multiplicity is None
+    assert rep.methods["h_vector"] == rep.methods["multiplicity"] == "unavailable"
+
+
+def test_unflagged_bad_order_gates_the_ideal_on_fig9():
+    p, order = fx("fig9"), VarOrder(FIG9_BAD)
+    assert not verify_groebner(p, order)
+    with pytest.raises(GroebnerUnverified):
+        initial_ideal(p, order)
+
+
+def test_unflagged_bad_order_on_a_stack_gates_the_complex():
+    p = Polyomino([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+    order = VarOrder([
+        (3, 3), (3, 2), (4, 2), (2, 2), (1, 1), (4, 1), (1, 2), (1, 3), (3, 1), (2, 3), (2, 1),
+    ])
+    assert not verify_groebner(p, order)
+    with pytest.raises(GroebnerUnverified):
+        build_complex(p, order)
 
 
 def test_advisory_ideal_passes_after_verification():
