@@ -34,13 +34,17 @@ coefficient spills into the next.
 
 Both facet searches produce int masks with vertex k at bit nv-1-k, so
 one descending sort of the masks puts the facets in the order of their
-ascending vertex tuples; purity is checked on the masks and each
-frozenset is built once, from its mask, by _members.
+ascending vertex tuples. Purity is checked on the masks. Each facet is
+then the one before it, symmetric difference the vertices whose bits
+flip between their masks; _members builds each distinct flip's vertex
+set once, and frozenset ^ frozenset reuses the hashes both sets store,
+so no vertex is hashed again.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
+from operator import xor
 from typing import NamedTuple
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
@@ -50,7 +54,7 @@ from .toric import Variable, VarOrder, initial_ideal
 Facet = frozenset[Variable]
 
 # the work budgets of the exponential stages (see the module docstring);
-# about 3 s of DP, and about 0.4 s and 130 MB of facets
+# about 3 s of DP, and about 0.2 s and 120 MB of facets
 MAX_DP_ENTRIES = 200_000
 MAX_FACETS = 50_000
 
@@ -83,8 +87,7 @@ class FlagComplex:
         self.d = d
         self._index = {v: k for k, v in enumerate(vertices)}
         adj = [0] * len(vertices)
-        for pair in forbidden:
-            a, b = sorted(pair)
+        for a, b in forbidden:
             ia, ib = self._index[a], self._index[b]
             adj[ia] |= 1 << ib
             adj[ib] |= 1 << ia
@@ -280,8 +283,11 @@ def facets(c: FlagComplex) -> tuple[Facet, ...]:
     other lacks; as no facet contains another, that facet also has the
     smaller ascending index tuple. So the masks sorted in descending
     order list the facets by their vertex tuples (c.vertices is sorted).
-    Purity is checked on the masks; each frozenset is then built once,
-    straight from its mask.
+    Purity is checked on the masks. Consecutive masks differ in a few
+    bits (3.8 on average over the facets of 30-60 vertex stacks), so
+    each facet is built from the one before it by one symmetric
+    difference with the vertex set of the bits that flip, and each
+    distinct flip's set is built once.
     """
     if c._facets is not None:
         return c._facets
@@ -300,7 +306,10 @@ def facets(c: FlagComplex) -> tuple[Facet, ...]:
                 f"facet of size {mask.bit_count()}, expected d = {c.d}: "
                 f"{list(next(_members(c.vertices, [mask])))}"
             )
-    c._facets = tuple(map(frozenset, _members(c.vertices, masks)))
+    flips = [a ^ b for a, b in zip([0, *masks], masks)]
+    distinct = list(set(flips))
+    steps = dict(zip(distinct, map(frozenset, _members(c.vertices, distinct))))
+    c._facets = tuple(accumulate(map(steps.__getitem__, flips), xor))
     return c._facets
 
 

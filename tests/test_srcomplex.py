@@ -16,6 +16,7 @@ from polyrings.polyomino import Polyomino, is_rectangle, parse, stack_from_profi
 from polyrings.srcomplex import (
     FlagComplex,
     _bits,
+    _chain_masks,
     _independent_counts,
     _max_independent_sets,
     _rank_poset,
@@ -147,17 +148,25 @@ def test_fallback_on_intransitive_advisory_orders():
 
 def test_fallback_counts_every_intransitive_small_convex_complex():
     # the advisory order and the shuffled orders that pass the Groebner
-    # check, on every convex shape with at most 7 cells
-    fallback = 0
+    # check, on every convex shape with at most 7 cells; Bron-Kerbosch
+    # is held to the brute listing under the advisory order up to 6
+    # cells, as the brute force takes seconds at 7
+    fallback = listed = 0
     for p in convex_upto(7):
-        for o in [variable_order(p), *shuffled_orders(p)]:
+        advisory = variable_order(p)
+        for o in [advisory, *shuffled_orders(p)]:
             if not verify_groebner(p, o):
                 continue
             c = build_complex(p, o)
             if _rank_poset(c) is None:
                 fallback += 1
                 assert f_vector(c) == brute_f_vector(c.vertices, c.forbidden, c.d), (p, o)
-    assert fallback > 500
+                if o is advisory and len(p.cells) <= 6:
+                    listed += 1
+                    assert [tuple(sorted(f)) for f in facets(c)] == (
+                        brute_maximal_independent_sets(c.vertices, c.forbidden)
+                    ), (p, o)
+    assert fallback > 500 and listed == 147
 
 
 def brute_counts(c, mask):
@@ -209,6 +218,14 @@ def test_chain_facets_on_seeded_large_stacks():
         c = complex_of(p)
         assert _rank_poset(c) is not None
         fs = facets(c)
+        # each facet rebuilt on its own from its mask, vertex k at bit nv-1-k
+        nv = len(c.vertices)
+        masks = sorted(_chain_masks(*_rank_poset(c)), reverse=True)
+        assert fs == tuple(
+            frozenset(c.vertices[k] for k in range(nv) if m >> (nv - 1 - k) & 1)
+            for m in masks
+        )
+        assert all(type(f) is frozenset for f in fs)
         keys = [tuple(sorted(c._index[v] for v in f)) for f in fs]
         assert len(set(fs)) == len(fs)
         assert all(len(f) == c.d for f in fs)
@@ -225,6 +242,23 @@ def hand_built(ranked, forbidden, d):
         forbidden=frozenset(frozenset(pair) for pair in forbidden),
         d=d,
     )
+
+
+def test_bron_kerbosch_on_seeded_random_graphs():
+    # on the fallback complexes of small convex shapes, Bron-Kerbosch
+    # never runs out of candidates while excluded vertices remain;
+    # random graphs do
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        verts = [(k, 1) for k in range(n)]
+        pairs = [(verts[a], verts[b]) for a in range(n) for b in range(a) if rng.random() < 0.5]
+        c = hand_built(verts, pairs, 1)
+        got = sorted(
+            tuple(verts[k] for k in _bits(mk))
+            for mk in _max_independent_sets(c._adj, (1 << n) - 1)
+        )
+        assert got == brute_maximal_independent_sets(verts, c.forbidden), seed
 
 
 def test_impure_complexes_raise_not_pure_on_both_paths():
