@@ -13,8 +13,8 @@ The convex criterion quantifies over nonempty proper subsets T of X:
 whenever (a) N_Y(T) is a neighbor vertical interval and (b) Y \\ N_Y(T)
 pulls back exactly to X \\ T along a neighbor horizontal interval, the
 ring is Gorenstein only if |N_Y(T)| = |T| + 1. Matching failure (no
-perfect matching on the side graph, Hall's condition failing) rules the
-ring out first: at once when m != n, and otherwise by the same scan.
+perfect matching on the side graph) rules the ring out: at once when
+m != n, and otherwise through this condition (the Hall lemma below).
 
 Such an admissible T is fixed by I = N_Y(T): a column in T has all its
 levels in I, and by (b) a column outside T has a level in Y \\ I, so
@@ -48,15 +48,39 @@ This scan is the package's one form of the convex criterion: the
 literal sweep over all 2^m column sets, each condition checked as
 written, is the oracle the tests compare it with.
 
-The graph is convex (each column's levels form an interval), so Hall's
-condition needs checking only on level intervals (Glover, "Maximum
-matching in a convex bipartite graph", 1967). The columns of a violator
-T split along the maximal intervals of N_Y(T), and one part is deficient
-inside its interval J; every column with levels inside J joins it, and
-shrinking J to the hull of those columns' levels keeps them. That hull
-starts where a column starts and ends where a column ends, so it is one
-of the scanned I, and Hall fails exactly when some T_I = {x : N(x) is
-inside I} has |T_I| > |I|: one comparison per interval.
+The Hall lemma: when m = n and the side graph has no perfect matching,
+some admissible T has |N_Y(T)| < |T|, so the scan already rejects the
+shape and no matching test is needed. Column x has the levels
+[b_x, t_x]: b falls then rises, t rises then falls, and neighbouring
+columns share at least two levels. Write T_I = {x : N(x) is inside I}
+and d(I) = |T_I| - |I| for a level interval I. Proof:
+- By Hall's theorem some T has |N_Y(T)| < |T|. One connected part of
+  the subgraph on T u N_Y(T) is deficient too. Its levels form an
+  interval I, and T_I holds the part's columns, so d(I) > 0. Take such
+  an I with |T_I| least, and let T = T_I.
+- Split T the same way. A part's levels J give T_J = the part, since a
+  column outside T has a level outside I. So a second part would give
+  a deficient part with fewer columns, against the choice. Hence
+  T u N_Y(T) is connected, N_Y(T) is stepped through, and shrinking I
+  to N_Y(T) keeps T.
+- d(Y) = m - n = 0, so I != Y and T != X. By the choice of T,
+  N_X(Y \\ I) = X \\ T = L u U, where L holds the columns with a level
+  below I and U those with a level above it. Each is the neighbour set
+  of a run of levels, so a run of columns stepped through with those
+  levels. If L and U meet, or one is empty, Y \\ I is stepped through
+  as well, and T is admissible.
+- Otherwise mirror P so that L lies left of U. Let I = [lo, hi],
+  K = [1, hi] and J = [lo, n]. Then T_K = X \\ U and T_J = X \\ L, so
+  d(K) + d(J) = d(I) > 0 since m = n. Turning P a half turn swaps the
+  roles of K and J, so say d(K) > 0.
+- Every level below lo lies on columns of L only, and T covers I, so
+  N_Y(T_K) = K; N_X(Y \\ K) = U is one run with its levels. T_K is the
+  run of columns left of U together with the run S right of U, and S
+  lies inside T. When S is empty T_K is one run. When T also has
+  columns left of U, the connected T u I joins the two runs. Otherwise
+  the last column of L is followed by the first of U; they share a
+  level inside I = N_Y(S), which joins them. So T_K is admissible, with
+  |N_Y(T_K)| = |K| < |T_K|.
 
 For stacks two shortcuts exist: the level-set test (m = n and every
 admissible column set T has |N_Y(T)| = |T| + 1) and the inside-corner
@@ -127,7 +151,9 @@ class SideSubset:
 
 class Violation(NamedTuple):
     """Why the ring fails: kind 'hall' needs |N(T)| >= required = |T|,
-    kind 'cardinality' needs |N_Y(T)| == required = |T| + 1."""
+    kind 'cardinality' needs |N_Y(T)| == required = |T| + 1. Only the
+    box gate reports kind 'hall', for the whole larger side when m != n;
+    a square shape without a perfect matching gets kind 'cardinality'."""
 
     kind: str
     subset: SideSubset
@@ -196,10 +222,11 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     """Interval-scan test for convex polyominoes.
 
     Takes the admissible T in increasing bit order; the first with
-    |N_Y(T)| != |T| + 1 becomes the violation. A Hall failure comes
-    first: the whole larger side when m != n, otherwise the least, in
-    bit order, of the column sets T_I with |T_I| > |I|. When the verdict
-    is positive every admissible T is returned as a certificate.
+    |N_Y(T)| != |T| + 1 becomes the violation. The box gate comes first:
+    when m != n the whole larger side is a Hall violation. A square shape
+    without a perfect matching needs no test of its own: by the Hall
+    lemma some admissible T then has |N_Y(T)| < |T|. When the verdict is
+    positive every admissible T is returned as a certificate.
     """
     if not is_convex(p):
         raise NotConvex("the convex Gorenstein test needs a convex polyomino")
@@ -217,7 +244,6 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
         columns[r - 1] |= 3 << (c - 1)
         columns[r] |= 3 << (c - 1)
     full_x = (1 << m) - 1
-    full_y = (1 << n) - 1
     # out_low[low]: the columns with a level below `low`; out_top[top]:
     # the columns with a level at `top` or above; X \ T is their union
     starts: dict[int, int] = {}
@@ -242,40 +268,23 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     pre_x, suf_x = _prefix_suffix_or(levels)
     pre_y, suf_y = _prefix_suffix_or(columns)
     admissible = []
-    deficient = []
     for low, rest_low in out_low.items():
         lo = low.bit_length() - 1
         for top in tops[bisect_right(tops, low) :]:
             rest = rest_low | out_top[top]
-            ival = top - low
-            # T = X \ rest has N_Y(T) inside I: Hall fails when |T| > |I|
-            if rest.bit_count() + ival.bit_count() < m:
-                deficient.append(full_x ^ rest)
             # X \ T = N_X(Y \ I) must be an interval: a cheap first filter;
-            # T = X is out too, since N_Y(X) = Y != I
+            # T = X is out too, since N_Y(X) = Y != I. So is I = Y, where
+            # no column has a level outside I and T = X
             if not rest or not _contiguous(rest):
                 continue
+            ival = top - low
             x_lo, x_hi = (rest & -rest).bit_length() - 1, rest.bit_length()
             # N_Y(T) = I and N_X(Y \ I), each stepped through
-            if (
-                ival == full_y
-                or _joined(pre_x[x_lo], suf_x[x_hi]) != ival
-                or not _joined(pre_y[lo], suf_y[top.bit_length() - 1])
+            if _joined(pre_x[x_lo], suf_x[x_hi]) != ival or not _joined(
+                pre_y[lo], suf_y[top.bit_length() - 1]
             ):
                 continue
             admissible.append((full_x ^ rest, ival))
-    if deficient:
-        t = min(deficient)
-        nbits = 0
-        for x, a in enumerate(levels):
-            if t >> x & 1:
-                nbits |= a
-        return GorensteinVerdict(
-            False,
-            Violation("hall", SideSubset("X", t, m), nbits.bit_count(), t.bit_count()),
-            (),
-            "convex",
-        )
     admissible.sort()
     certs = []
     for t, nbits in admissible:
@@ -299,9 +308,12 @@ def is_gorenstein_stack_subsets(p: Polyomino) -> GorensteinVerdict:
     {x : height(x) <= s} for attained heights s < n need the cardinality
     check. Nonempty T only; smaller s first.
 
-    Only the box gate precedes it: every column holds level 1, so the
-    only nonempty T_I of the Hall scan are these level sets, and
-    |T_s| = s - 1 < s whenever the check passes.
+    Only the box gate precedes it. A square stack without a perfect
+    matching has a level interval I with |T_I| > |I| (the first step of
+    the Hall lemma above), but every column holds level 1, so T_I is
+    empty unless I = [1, s]. For s = n, T_I = X has n columns; for s < n
+    it is the level set of the largest height h <= s, with
+    |T_I| = h - 1 < s once h passes the check.
     """
     if not is_stack(p):
         raise NotStack("the level-set Gorenstein test needs a stack polyomino")

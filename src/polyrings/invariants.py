@@ -77,7 +77,7 @@ from .errors import (
 from .gorenstein import is_gorenstein_convex
 from .polyomino import (
     Polyomino,
-    heights,
+    distinguished_vertex,
     is_convex,
     is_rectangle,
     is_stack,
@@ -182,13 +182,6 @@ def _step(hs: Profile) -> tuple[Profile, Profile]:
         p1 = hs[:-1] if last == 1 else hs[:-1] + (last - 1,)
         low = last
     return p1, tuple([h - low for h in hs if h > low])
-
-
-def distinguished_vertex(p: Polyomino) -> tuple[int, int]:
-    """(i, height(i)) for the lowest column, leftmost on ties."""
-    hs = heights(p)
-    level = min(hs)
-    return hs.index(level) + 1, level
 
 
 def decompose(p: Polyomino) -> Decomposition:

@@ -235,6 +235,13 @@ def heights(p: Polyomino) -> tuple[int, ...]:
     return tuple(out)
 
 
+def distinguished_vertex(p: Polyomino) -> tuple[int, int]:
+    """(i, height(i)) for the lowest column, leftmost on ties."""
+    hs = heights(p)
+    level = min(hs)
+    return hs.index(level) + 1, level
+
+
 def _incident_cells(p: Polyomino, v: Vertex) -> int:
     c, r = v
     return sum(

@@ -48,7 +48,7 @@ from operator import xor
 from typing import NamedTuple
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
-from .polyomino import Polyomino, heights
+from .polyomino import Polyomino, distinguished_vertex
 from .toric import Variable, VarOrder, initial_ideal
 
 Facet = frozenset[Variable]
@@ -543,12 +543,9 @@ def _decompose_parts(c: FlagComplex, v: Variable) -> tuple:
     link_decompose, after checking that v is the distinguished vertex."""
     p = c.poly
     i, j = v
-    hs = heights(p)
-    canonical = min(range(1, p.m + 1), key=lambda col: (hs[col - 1], col))
-    if i != canonical or j != hs[i - 1]:
-        raise DecompositionFailed(
-            f"{v} is not the minimal-height top vertex {(canonical, hs[canonical - 1])}"
-        )
+    canonical = distinguished_vertex(p)
+    if (i, j) != canonical:
+        raise DecompositionFailed(f"{v} is not the minimal-height top vertex {canonical}")
     upper = {(cc, rr) for cc, rr in p.cells if rr >= j}
     if not upper:
         raise DecompositionFailed("rectangle: no cells at or above the top level")

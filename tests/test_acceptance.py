@@ -181,7 +181,7 @@ def test_criterion_07():
 
 
 def test_criterion_08():
-    """Interval lemma equivalences, 2-connectivity, Hall-matching agreement."""
+    """Interval lemma equivalences, 2-connectivity, matching failure rejects."""
     shapes = [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(7))
     for p in shapes:
         vs = vertex_set(p)
@@ -202,11 +202,13 @@ def test_criterion_08():
                 lhs = pullback_equal and horizontal_interval(vs, p.cells, u)
                 has_edge = any(i not in t and j in u for i, j in vs)
                 assert lhs == (has_edge and induced_connected(vs, xs - t, u))
-    # the scan reports a Hall violation exactly when no perfect matching exists
+    # only the box gate reports a Hall violation, and a shape without a
+    # perfect matching is never Gorenstein
     for p in [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(9)):
         v = is_gorenstein_convex(p)
         hall = v.violation is not None and v.violation.kind == "hall"
-        assert hall == (not brute_perfect_matching(p)), sorted(p.cells)
+        assert hall == (p.m != p.n), sorted(p.cells)
+        assert brute_perfect_matching(p) or not v.gorenstein, sorted(p.cells)
 
 
 def test_criterion_09():

@@ -11,6 +11,7 @@ from polyrings.srcomplex import invariants_from_complex
 from oracles import (
     brute_admissible,
     brute_gorenstein_convex,
+    brute_perfect_matching,
     brute_stack_subsets,
     horizontal_interval,
     is_palindrome,
@@ -24,17 +25,6 @@ from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
 def square(k):
     return Polyomino([(c, r) for c in range(1, k) for r in range(1, k)])
-
-
-def interval_column_sets(p):
-    """(T_I as a bit set, |I|) for every level interval I, where T_I holds
-    the columns whose levels all lie in I."""
-    vs = vertex_set(p)
-    for a in range(1, p.n + 1):
-        for b in range(a, p.n + 1):
-            ival = set(range(a, b + 1))
-            t = [x for x in range(1, p.m + 1) if neigh_y(vs, {x}) <= ival]
-            yield sum(1 << (x - 1) for x in t), len(ival)
 
 
 def test_fig8_violation():
@@ -142,12 +132,6 @@ def test_interval_scan_against_the_literal_sweep():
             nbors = neigh_y(vs, t) if v.violation.subset.side == "X" else neigh_x(vs, t)
             assert v.violation.observed == len(nbors) < len(t) == v.violation.required
             assert got == [] and not brute_gorenstein_convex(p)
-            if p.m == p.n:
-                # the least, in bit order, of the deficient T_I over all
-                # level intervals I
-                assert v.violation.subset.bits == min(
-                    bits for bits, size in interval_column_sets(p) if bits.bit_count() > size
-                )
             continue
         want = brute_admissible(p)
         bad = next((k for k, (t, ny) in enumerate(want) if len(ny) != len(t) + 1), None)
@@ -160,6 +144,18 @@ def test_interval_scan_against_the_literal_sweep():
             assert v.violation.kind == "cardinality"
             assert v.violation.subset.indices() == t
             assert (v.violation.observed, v.violation.required) == (len(ny), len(t) + 1)
+
+
+def test_hall_lemma_on_the_oracles():
+    # a square shape without a perfect matching has an admissible T with
+    # |N_Y(T)| < |T|, so the cardinality condition rejects it unaided
+    failures = 0
+    for p in convex_upto(9):
+        if p.m != p.n or brute_perfect_matching(p):
+            continue
+        assert any(len(ny) < len(t) for t, ny in brute_admissible(p)), sorted(p.cells)
+        failures += 1
+    assert failures > 0
 
 
 def test_overlap_lemma_on_the_oracles():
@@ -228,7 +224,8 @@ def test_input_guards():
 
 def test_wide_staircase_band_verdict():
     # cells (i, i) and (i + 1, i), m = n = 1501: the scan meets 1127247
-    # level intervals, and Hall's condition holds on every one
+    # level intervals. Column x matches level x, a corner of cell (x, x)
+    # or of (1500, 1500), so only the cardinality condition fails
     k = 1500
     band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
     v = is_gorenstein_convex(band)

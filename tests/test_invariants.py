@@ -14,7 +14,6 @@ from polyrings.gorenstein import GorensteinVerdict
 from polyrings.invariants import (
     a_invariant_stack_exact,
     decompose,
-    distinguished_vertex,
     full_report,
     h_vector_recursive,
     ladder_polyomino,
@@ -28,6 +27,7 @@ from polyrings.invariants import (
 from polyrings.polyomino import (
     Polyomino,
     cells_at_or_above,
+    distinguished_vertex,
     heights,
     is_rectangle,
     is_stack,

@@ -7,12 +7,17 @@ from polyrings import srcomplex
 from polyrings.errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from polyrings.invariants import (
     decompose,
-    distinguished_vertex,
     full_report,
     h_vector_recursive,
     multiplicity_recursive,
 )
-from polyrings.polyomino import Polyomino, is_rectangle, parse, stack_from_profile
+from polyrings.polyomino import (
+    Polyomino,
+    distinguished_vertex,
+    is_rectangle,
+    parse,
+    stack_from_profile,
+)
 from polyrings.srcomplex import (
     FlagComplex,
     _bits,
