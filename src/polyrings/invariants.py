@@ -28,11 +28,14 @@ h-vector. The memo is cleared on entry to a call once it holds more
 than _MEMO_MAX_ENTRIES profiles. A Polyomino is read once on entry;
 decompose builds its P1 and P2 from the same step.
 
-full_report takes every stack invariant from this recursion and builds
-no complex. Two independent runtime checks certify it: deg h must equal
-the closed-form regularity below, and h must be palindromic exactly
-when the interval criterion says K[P] is Gorenstein (Stanley's theorem
-for Cohen-Macaulay domains). A split raises ConsistencyError.
+full_report reads e = h(1), reg = deg h and a = deg h - d off one
+h-polynomial: this recursion's for a stack, which builds no complex,
+or the Hilbert numerator of the initial complex for a non-stack under
+a verified order. Every reported h is certified: it must be palindromic
+exactly when the interval criterion says K[P] is Gorenstein (Stanley's
+theorem, as K[P] is a Cohen-Macaulay domain for every convex P), and a
+stack's deg h must also equal the closed-form regularity below. A split
+raises ConsistencyError.
 
 The regularity of a stack is exact in closed form. Let P_j be the cells
 at or above cell row j and [m_j] x [n_j] the smallest interval holding
@@ -83,7 +86,7 @@ from .polyomino import (
     is_stack,
     stack_from_profile,
 )
-from .srcomplex import build_complex, invariants_from_complex
+from .srcomplex import build_complex, hilbert_numerator
 from .toric import VarOrder, _check_ranks
 
 
@@ -91,7 +94,7 @@ def a_invariant_stack_exact(p: Polyomino) -> int:
     """The a-invariant of a stack, regularity_stack_exact(p) - (m + n - 1)."""
     if not is_stack(p):
         raise NotStack("a-invariant formula needs a stack polyomino")
-    return _exact_pair(p)[0]
+    return _exact_regularity(p) - (p.m + p.n - 1)
 
 
 def regularity_stack_exact(p: Polyomino) -> int:
@@ -99,7 +102,7 @@ def regularity_stack_exact(p: Polyomino) -> int:
     w_j the number of cells in cell row j. See the module docstring."""
     if not is_stack(p):
         raise NotStack("regularity formula needs a stack polyomino")
-    return _exact_pair(p)[1]
+    return _exact_regularity(p)
 
 
 def rook_number(p: Polyomino) -> int:
@@ -132,18 +135,12 @@ def rook_number(p: Polyomino) -> int:
     return rooks
 
 
-def _box_bounds(p: Polyomino) -> tuple[int, int]:
-    """(a, reg) bounds from the vertex box; p must be a stack."""
-    return -max(p.m, p.n), min(p.m, p.n) - 1
-
-
-def _exact_pair(p: Polyomino) -> tuple[int, int]:
-    """(a, reg) in one pass over the cells; p must be a stack."""
+def _exact_regularity(p: Polyomino) -> int:
+    """The closed-form regularity in one pass over the cells; p must be a stack."""
     widths = [0] * p.n
     for _, row in p.cells:
         widths[row] += 1
-    reg = min(p.n - 1, min(j - 1 + w for j, w in enumerate(widths) if j))
-    return reg - (p.m + p.n - 1), reg
+    return min(p.n - 1, min(j - 1 + w for j, w in enumerate(widths) if j))
 
 
 class Decomposition(NamedTuple):
@@ -397,73 +394,68 @@ class InvariantReport:
 def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     """Every invariant this package can certify for p, with method tags.
 
-    A stack takes its h-vector, regularity deg h, a-invariant deg h - d
-    and multiplicity h(1) from the h-polynomial recursion, all tagged
-    "recursion", at any size: no complex is built and no work budget
-    applies. Two independent checks certify the recursion at
-    runtime: deg h must equal the exact closed-form regularity, and h
-    must be palindromic exactly when the interval criterion calls K[P]
-    Gorenstein. Either split raises ConsistencyError. The bounding-box
-    bounds are beaten on some stacks (smallest: 5 cells, a base row of
-    three cells with a two-cell tower); such a gap is reported in
-    notes, never raised.
-
-    Non-stack convex shapes get all four values from the complex
+    The h-vector comes from the h-polynomial recursion for a stack
+    ("recursion"), at any size: no complex is built and no work budget
+    applies. A non-stack convex shape takes it from the complex
     ("complex") when a supplied order passes the Groebner check and the
-    complex's f-vector stays within its work budget (srcomplex); otherwise
-    all four are "unavailable", and a budget that stopped the f-vector is
-    named in notes. Every shape, at any size, gets the Gorenstein
-    verdict from the polynomial interval scan of the convex criterion
-    (tagged "interval criterion"). A supplied order must rank exactly
-    the vertices of p (BadParameters otherwise); a stack does not use it.
+    complex's f-vector stays within its work budget (srcomplex);
+    otherwise all four values are "unavailable", and a budget that
+    stopped the f-vector is named in notes. The regularity deg h, the
+    a-invariant deg h - d and the multiplicity h(1) are read off h and
+    carry its tag.
+
+    Runtime checks certify every reported h: it must be palindromic
+    exactly when the interval criterion calls K[P] Gorenstein, and on a
+    stack deg h must also equal the exact closed-form regularity. Either
+    split raises ConsistencyError. The bounding-box bounds are beaten on
+    some stacks (smallest: 5 cells, a base row of three cells with a
+    two-cell tower); such a gap is reported in notes, never raised.
+
+    Every shape, at any size, gets the Gorenstein verdict from the
+    polynomial interval scan of the convex criterion (tagged "interval
+    criterion"). A supplied order must rank exactly the vertices of p
+    (BadParameters otherwise); a stack does not use it.
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
     if order is not None:
         # also when the order goes unused
         _check_ranks(p, order)
-    stack = is_stack(p)
     d = p.m + p.n - 1
-    methods: dict[str, str] = {}
     notes: list[str] = []
-    a = reg = mult = h = None
-    if stack:
-        h = h_vector_recursive(p)
-        mult = sum(h)
-        reg = len(h) - 1
-        a = reg - d
-        for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):
-            methods[name] = "recursion"
-        exact_reg = _exact_pair(p)[1]
-        if reg != exact_reg:
-            raise ConsistencyError(
-                f"recursion gives regularity deg h = {reg}, closed form {exact_reg}"
-            )
-        bound_a, bound_reg = _box_bounds(p)
-        if (bound_a, bound_reg) != (a, reg):
-            notes.append(
-                f"bounding-box bounds predict a={bound_a}, regularity={bound_reg}; "
-                f"the recursion gives a={a}, regularity={reg} (reported)"
-            )
+    h, source = None, "unavailable"
+    if is_stack(p):
+        h, source = h_vector_recursive(p), "recursion"
     elif order is not None:
         try:
-            ci = invariants_from_complex(build_complex(p, order))
+            h, source = hilbert_numerator(build_complex(p, order)), "complex"
         except GroebnerUnverified:
             pass
         except TooLarge as exc:
             notes.append(str(exc))
-        else:
-            a, reg, mult, h = ci.a_invariant, ci.regularity, ci.multiplicity, ci.h_vector
-            for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):
-                methods[name] = "complex"
+    a = reg = mult = None
+    if h is not None:
+        reg, mult = len(h) - 1, sum(h)
+        a = reg - d
+    if source == "recursion":
+        exact_reg = _exact_regularity(p)
+        if reg != exact_reg:
+            raise ConsistencyError(
+                f"recursion gives regularity deg h = {reg}, closed form {exact_reg}"
+            )
+        box_reg = min(p.m, p.n) - 1
+        if reg != box_reg:
+            notes.append(
+                f"bounding-box bounds predict a={box_reg - d}, regularity={box_reg}; "
+                f"the recursion gives a={a}, regularity={reg} (reported)"
+            )
     gor = is_gorenstein_convex(p).gorenstein
-    methods["gorenstein"] = "interval criterion"
-    if stack and (h == h[::-1]) != gor:
+    if h is not None and (h == h[::-1]) != gor:
         raise ConsistencyError(
             f"h-vector {h} palindromicity contradicts the Gorenstein verdict {gor}"
         )
-    for name in ("a_invariant", "regularity", "multiplicity", "h_vector"):
-        methods.setdefault(name, "unavailable")
+    methods = dict.fromkeys(("a_invariant", "regularity", "multiplicity", "h_vector"), source)
+    methods["gorenstein"] = "interval criterion"
     return InvariantReport(
         m=p.m,
         n=p.n,

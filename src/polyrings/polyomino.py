@@ -283,6 +283,7 @@ def cells_at_or_above(p: Polyomino, level: int) -> Polyomino:
     kept = {(c, r) for c, r in p.cells if r >= level}
     if not kept:
         raise EmptyResult(f"no cells at or above level {level}")
-    if not _edge_connected(frozenset(kept)):
-        raise DisconnectedResult(f"cells at or above level {level} are disconnected")
-    return Polyomino(kept)
+    try:
+        return Polyomino(kept)
+    except DisconnectedCells:
+        raise DisconnectedResult(f"cells at or above level {level} are disconnected") from None

@@ -3,9 +3,9 @@
 Faces are the squarefree monomials outside the initial ideal, so the
 complex is determined by its forbidden pairs (the quadratic generators).
 Facets are maximal independent sets of the forbidden-pair graph. The
-numerator Q(t) of the Hilbert series comes from the f-vector and yields
-multiplicity Q(1), regularity deg Q, and a-invariant deg Q - d where
-d = m + n - 1 is the Krull dimension.
+numerator Q(t) of the Hilbert series comes from the f-vector;
+invariants.full_report reads multiplicity Q(1), regularity deg Q and
+a-invariant deg Q - d off it, where d = m + n - 1 is the Krull dimension.
 
 Chain path. Orient each compatible (non-forbidden) pair upwards along
 the variable ranking c.order. When that orientation is transitive, the
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from itertools import accumulate, compress, repeat
 from operator import xor
-from typing import NamedTuple
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from .polyomino import Polyomino, distinguished_vertex
@@ -413,22 +412,6 @@ def hilbert_numerator(c: FlagComplex) -> tuple[int, ...]:
     if not q or q[0] != 1 or sum(q) != fv[-1]:
         raise NotPure("Hilbert numerator failed its sanity identities")
     return tuple(q)
-
-
-class ComplexInvariants(NamedTuple):
-    multiplicity: int
-    regularity: int
-    a_invariant: int
-    h_vector: tuple[int, ...]
-
-
-def invariants_from_complex(c: FlagComplex) -> ComplexInvariants:
-    """Multiplicity Q(1), regularity deg Q, a-invariant deg Q - d and
-    h-vector Q, all from the Hilbert numerator Q; TooLarge when the DP
-    budget MAX_DP_ENTRIES stops the fallback f-vector."""
-    q = hilbert_numerator(c)
-    deg = len(q) - 1
-    return ComplexInvariants(sum(q), deg, deg - c.d, q)
 
 
 def link_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:

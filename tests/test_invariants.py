@@ -36,10 +36,10 @@ from polyrings.polyomino import (
     stack_from_profile,
     transpose,
 )
-from polyrings.srcomplex import build_complex, facets, hilbert_numerator, invariants_from_complex
+from polyrings.srcomplex import build_complex, facets, hilbert_numerator
 from polyrings.toric import variable_order
 from oracles import delete_cell
-from pool import STACK_FIXTURES, complex_of, fx, stacks_upto
+from pool import STACK_FIXTURES, complex_of, convex_upto, fx, stacks_upto
 
 
 def test_closed_forms_on_fixtures():
@@ -67,11 +67,12 @@ def test_closed_forms_are_bounds_not_values():
     # first at five cells, and below five cells they are exact
     split = {}
     for p in stacks_upto(7):
-        ci = invariants_from_complex(complex_of(p))
+        reg = len(hilbert_numerator(complex_of(p))) - 1
+        a = reg - (p.m + p.n - 1)
         bound_a, bound_reg = -max(p.m, p.n), min(p.m, p.n) - 1
-        assert ci.a_invariant <= bound_a
-        assert ci.regularity <= bound_reg
-        if (ci.a_invariant, ci.regularity) != (bound_a, bound_reg):
+        assert a <= bound_a
+        assert reg <= bound_reg
+        if (a, reg) != (bound_a, bound_reg):
             k = len(p.cells)
             split[k] = split.get(k, 0) + 1
     assert split == {5: 3, 6: 7, 7: 12}
@@ -85,8 +86,7 @@ def test_five_cell_counterexamples():
     ):
         p = Polyomino(cells)
         assert is_stack(p) and (p.m, p.n) == (4, 4)
-        ci = invariants_from_complex(complex_of(p))
-        assert (ci.a_invariant, ci.regularity) == (-5, 2)
+        assert len(hilbert_numerator(complex_of(p))) - 1 == 2  # a = 2 - 7
         assert (a_invariant_stack_exact(p), regularity_stack_exact(p)) == (-5, 2)
         assert full_report(p).notes == (
             "bounding-box bounds predict a=-4, regularity=3; "
@@ -261,8 +261,7 @@ def test_multiplicity_transpose_invariant():
     q = transpose(p)
     assert not is_stack(q)
     o = variable_order(q)
-    ci = invariants_from_complex(build_complex(q, o))
-    assert ci.multiplicity == multiplicity_recursive(p) == 37
+    assert sum(hilbert_numerator(build_complex(q, o))) == multiplicity_recursive(p) == 37
 
 
 def test_partition_of_facet_counts():
@@ -400,18 +399,34 @@ def test_full_report_certifies_every_stack_up_to_13_cells():
         assert r.gorenstein == (r.h_vector == r.h_vector[::-1])
 
 
+def test_full_report_certifies_every_non_stack_up_to_8_cells():
+    # under the advisory order every h comes off the complex, and the
+    # palindromicity certificate runs on each
+    shapes = [p for p in convex_upto(8) if not is_stack(p)]
+    assert len(shapes) == 1956
+    for p in shapes:
+        r = full_report(p, variable_order(p))
+        assert r.methods["h_vector"] == "complex"
+        assert r.gorenstein == (r.h_vector == r.h_vector[::-1])
+
+
 def test_full_report_certificates_can_fail(monkeypatch):
     p = fx("fig14")
     with monkeypatch.context() as mp:
-        mp.setattr(invariants, "_exact_pair", lambda q: (-7, 2))
+        mp.setattr(invariants, "_exact_regularity", lambda q: 2)
         with pytest.raises(ConsistencyError, match="closed form"):
             full_report(p)
-    with monkeypatch.context() as mp:
-        mp.setattr(invariants, "is_gorenstein_convex", lambda q: GorensteinVerdict(
-            True, None, (), "forced"
-        ))
-        with pytest.raises(ConsistencyError, match="palindromicity"):
-            full_report(p)
+    # the palindromicity certificate covers the complex's h as well:
+    # fig9 is a Gorenstein non-stack, with h = (1, 6, 6, 1) off the complex
+    q = fx("fig9")
+    assert not is_stack(q)
+    for shape, order, forced in ((p, None, True), (q, variable_order(q), False)):
+        with monkeypatch.context() as mp:
+            mp.setattr(invariants, "is_gorenstein_convex", lambda _: GorensteinVerdict(
+                forced, None, (), "forced"
+            ))
+            with pytest.raises(ConsistencyError, match="palindromicity"):
+                full_report(shape, order)
 
 
 def test_full_report_builds_no_complex_for_a_stack(monkeypatch):

@@ -217,8 +217,11 @@ def test_cells_at_or_above():
     assert q.cells == frozenset({(1, 1), (2, 1), (2, 2)})
     with pytest.raises(EmptyResult):
         cells_at_or_above(p, 9)
-    with pytest.raises(DisconnectedResult):
+    with pytest.raises(
+        DisconnectedResult, match=r"^cells at or above level 2 are disconnected$"
+    ) as info:
         cells_at_or_above(parse("#.#\n###"), 2)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 def test_cells_at_or_above_keeps_stacks_stacks():

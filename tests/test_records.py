@@ -20,12 +20,7 @@ from polyrings.gorenstein import (
 )
 from polyrings.invariants import Decomposition, InvariantReport, decompose, full_report
 from polyrings.polyomino import parse
-from polyrings.srcomplex import (
-    ComplexInvariants,
-    FlagComplex,
-    build_complex,
-    invariants_from_complex,
-)
+from polyrings.srcomplex import FlagComplex, build_complex
 from polyrings.toric import InitialIdeal, VarOrder, initial_ideal
 
 from pool import fx
@@ -52,11 +47,6 @@ VALUE_RECORDS = [
         GorensteinVerdict,
         lambda: is_gorenstein_convex(fx("fig8")),
         ("gorenstein", "violation", "certificates", "method"),
-    ),
-    (
-        ComplexInvariants,
-        lambda: invariants_from_complex(build_complex(parse(NON_STACK))),
-        ("multiplicity", "regularity", "a_invariant", "h_vector"),
     ),
     (Decomposition, lambda: decompose(parse(L_SHAPE)), ("v", "p1", "p2")),
 ]
@@ -94,7 +84,6 @@ def test_value_records_differ_on_any_field():
     assert Violation("hall", x, 1, 2) != Violation("hall", x, 1, 3)
     assert Certificate(x, y) != Certificate(x, SideSubset("Y", 1, 2))
     assert is_gorenstein_convex(fx("fig8")) != is_gorenstein_convex(fx("fig9"))
-    assert ComplexInvariants(5, 2, -3, (1, 3, 1)) != ComplexInvariants(5, 2, -3, (1, 3, 2))
 
 
 @pytest.mark.parametrize("cls, build, frozen", IDENTITY_RECORDS, ids=_name)
@@ -162,9 +151,6 @@ def test_records_repr_as_name_and_fields():
         "Violation(kind='cardinality', subset=SideSubset(side='X', bits=56, width=6), "
         "observed=3, required=4)"
     )
-    assert repr(invariants_from_complex(build_complex(parse(NON_STACK)))) == (
-        "ComplexInvariants(multiplicity=5, regularity=2, a_invariant=-3, h_vector=(1, 3, 1))"
-    )
     assert repr(decompose(parse(L_SHAPE))) == (
         "Decomposition(v=(1, 2), p1=Polyomino([(1, 1), (1, 2)]), p2=Polyomino([(1, 1)]))"
     )
@@ -195,9 +181,6 @@ def test_records_build_by_position_and_by_keyword():
     assert GorensteinVerdict(
         gorenstein=False, violation=viol, certificates=(cert,), method="m"
     ) == GorensteinVerdict(False, viol, (cert,), "m")
-    assert ComplexInvariants(
-        multiplicity=1, regularity=0, a_invariant=-1, h_vector=(1,)
-    ) == ComplexInvariants(1, 0, -1, (1,))
     p = parse("#")
     assert Decomposition(v=(1, 1), p1=p, p2=p) == Decomposition((1, 1), p, p)
     rep = InvariantReport(

@@ -30,7 +30,6 @@ from polyrings.srcomplex import (
     f_vector,
     facets,
     hilbert_numerator,
-    invariants_from_complex,
     link_decompose,
     link_facets,
     transport_facet,
@@ -335,18 +334,16 @@ def test_hilbert_numerators():
 
 
 def test_invariants_from_complex():
-    assert invariants_from_complex(complex_of(fx("fig14"))).regularity == 3
-    assert invariants_from_complex(complex_of(fx("fig13"))).a_invariant == -4
-    ci = invariants_from_complex(complex_of(fx("single_cell")))
-    assert (ci.multiplicity, ci.regularity, ci.a_invariant) == (2, 1, -2)
-    assert ci.h_vector == (1, 1)
+    # e = Q(1), reg = deg Q and a = deg Q - d off the Hilbert numerator Q
+    fig14, fig13 = fx("fig14"), fx("fig13")
+    assert len(hilbert_numerator(complex_of(fig14))) - 1 == 3
+    assert len(hilbert_numerator(complex_of(fig13))) - 1 - (fig13.m + fig13.n - 1) == -4
+    assert hilbert_numerator(complex_of(fx("single_cell"))) == (1, 1)
 
 
 def test_invariants_facets_only_for_mid_size():
     # 32 vertices, inside the complex guard: every value is reported
-    ci = invariants_from_complex(complex_of(bar(15)))
-    assert (ci.multiplicity, ci.regularity, ci.a_invariant) == (16, 1, -16)
-    assert ci.h_vector == (1, 15)
+    assert hilbert_numerator(complex_of(bar(15))) == (1, 15)
 
 
 def test_size_guards():
@@ -358,8 +355,6 @@ def test_size_guards():
     assert f_vector(build_complex(p))[-1] == 21
     assert hilbert_numerator(build_complex(p)) == (1, 20)
     assert len(facets(build_complex(p))) == 21
-    ci = invariants_from_complex(build_complex(p))
-    assert (ci.multiplicity, ci.regularity, ci.a_invariant) == (21, 1, -21)
 
 
 def test_facet_budget_stops_before_listing(monkeypatch):
@@ -401,7 +396,7 @@ def test_dp_budget_stops_the_fallback(monkeypatch):
     with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):
         _independent_counts(c._adj, full, memo)
     assert len(memo) == 1001
-    for fn in (f_vector, hilbert_numerator, facets, invariants_from_complex):
+    for fn in (f_vector, hilbert_numerator, facets):
         with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):
             fn(build_complex(p, order))
     r = full_report(p, order)
