@@ -377,18 +377,12 @@ class InvariantReport:
         ) + ")"
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "d": self.d,
-            "a_invariant": self.a_invariant,
-            "regularity": self.regularity,
-            "multiplicity": self.multiplicity,
-            "h_vector": list(self.h_vector) if self.h_vector is not None else None,
-            "gorenstein": self.gorenstein,
-            "methods": dict(sorted(self.methods.items())),
-            "notes": list(self.notes),
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        if self.h_vector is not None:
+            out["h_vector"] = list(self.h_vector)
+        out["methods"] = dict(sorted(self.methods.items()))
+        out["notes"] = list(self.notes)
+        return out
 
 
 def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:

@@ -186,28 +186,32 @@ _DIR_PAIRS = (
 
 
 def has_monotone_paths(p: Polyomino) -> bool:
-    """Every pair of cells is joined by a cell path using at most two directions."""
-    cells = sorted(p.cells)
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            if not any(_reaches(p.cells, a, b, dirs) for dirs in _DIR_PAIRS):
-                return False
+    """Every pair of cells is joined by a cell path using at most two
+    directions, one horizontal and one vertical.
+
+    One search per cell and direction pair, O(N^2) for N cells: the four
+    reach sets of each cell must together cover p. That checks each pair
+    from both ends, which asks no more than checking it from one: a path
+    from a to b in directions (x, y), walked backwards, runs from b to a
+    in (-x, -y), and _DIR_PAIRS is closed under negation.
+    """
+    cells = p.cells
+    for a in cells:
+        reached = set()
+        for dirs in _DIR_PAIRS:
+            seen = {a}
+            todo = [a]
+            while todo:
+                c, r = todo.pop()
+                for dc, dr in dirs:
+                    nb = (c + dc, r + dr)
+                    if nb in cells and nb not in seen:
+                        seen.add(nb)
+                        todo.append(nb)
+            reached |= seen
+        if len(reached) != len(cells):
+            return False
     return True
-
-
-def _reaches(cells: frozenset[Cell], a: Cell, b: Cell, dirs) -> bool:
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        c, r = queue.popleft()
-        if (c, r) == b:
-            return True
-        for dc, dr in dirs:
-            nb = (c + dc, r + dr)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return False
 
 
 def is_stack(p: Polyomino) -> bool:

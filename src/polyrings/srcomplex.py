@@ -63,7 +63,7 @@ class FlagComplex:
 
     Compared by identity: the underscored slots are the adjacency masks
     built here and the caches that facets, f_vector, _rank_poset and
-    the link helpers fill on first use.
+    link_decompose (per vertex) fill on first use.
     """
 
     __slots__ = (
@@ -420,14 +420,9 @@ def link_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
     In a flag complex these are exactly the facets of lk(v), so together
     with deletion_facets they partition the facet list.
     """
-    got = c._links.get(("link", v))
-    if got is not None:
-        return got
     if v not in c._index:
         raise ValueError(f"{v} is not a vertex of the complex")
-    out = tuple(f - {v} for f in facets(c) if v in f)
-    c._links[("link", v)] = out
-    return out
+    return tuple(f - {v} for f in facets(c) if v in f)
 
 
 def deletion_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
@@ -437,14 +432,9 @@ def deletion_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
     size hiding under facets through v; those never take part in the
     facet counting, so they are not reported.
     """
-    got = c._links.get(("del", v))
-    if got is not None:
-        return got
     if v not in c._index:
         raise ValueError(f"{v} is not a vertex of the complex")
-    out = tuple(f for f in facets(c) if v not in f)
-    c._links[("del", v)] = out
-    return out
+    return tuple(f for f in facets(c) if v not in f)
 
 
 def _check_transport_args(f: frozenset, i: int, h: int, m: int):
@@ -503,10 +493,9 @@ def link_decompose(c: FlagComplex, v: Variable, f: frozenset) -> tuple[frozenset
 
     Returns (g1, g2) in the original coordinates.
     """
-    got = c._links.get(("decompose", v))
+    got = c._links.get(v)
     if got is None:
-        got = _decompose_parts(c, v)
-        c._links[("decompose", v)] = got
+        got = c._links[v] = _decompose_parts(c, v)
     links, g2, shift, upper_facets = got
     f = frozenset(f)
     if f not in links:

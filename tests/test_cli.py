@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from polyrings import cli, fixtures, invariants, srcomplex
 from polyrings.cli import main
 from polyrings.errors import ConsistencyError, TooLarge
@@ -262,16 +264,18 @@ def test_gorenstein_oracle_checks_stacks_up_to_the_guard(capsys, monkeypatch):
 
 def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypatch):
     # a 45-vertex stack whose transpose is not a stack: past the old
-    # guard of 40, the transpose's multiplicity comes from its complex
+    # guard of 40, the transpose's multiplicity comes from its complex,
+    # which full_report builds
     grid = ".##" + "." * 17 + "\\n" + "#" * 20
     seen = []
-    real = cli.hilbert_numerator
+    real = srcomplex.hilbert_numerator
 
     def spy(c):
         seen.append((len(c.vertices), is_stack(c.poly)))
         return real(c)
 
     monkeypatch.setattr(cli, "hilbert_numerator", spy)
+    monkeypatch.setattr(invariants, "hilbert_numerator", spy)
     rc, out, err = run(capsys, "invariants", "--grid", grid, "--oracle")
     assert (rc, err) == (0, "")
     assert sorted(seen) == [(45, False), (45, True)]
@@ -293,6 +297,47 @@ def test_invariants_oracle_checks_the_rook_number(capsys, monkeypatch):
         rc, _, err = run(capsys, "invariants", *source, "--oracle")
         assert rc == 2 and "rook number" in err
         monkeypatch.setattr(cli, "rook_number", real)
+
+
+def test_check_oracle_catches_a_lying_path_test(capsys, monkeypatch):
+    real = cli.has_monotone_paths
+    monkeypatch.setattr(cli, "has_monotone_paths", lambda p: not real(p))
+    rc, out, err = run(capsys, "check", path("ex3"), "--oracle")
+    assert (rc, out) == (2, "")
+    assert err == "internal invariant violation: convexity and monotone-path test disagree\n"
+
+
+def _first_facet_replaced(monkeypatch, edit):
+    """Make cli.facets return its first facet changed by edit(c, f)."""
+    real = cli.facets
+    monkeypatch.setattr(cli, "facets", lambda c: (edit(c, real(c)[0]), *real(c)[1:]))
+
+
+def test_facets_oracle_catches_a_forbidden_pair(capsys, monkeypatch):
+    # a facet plus any vertex it lacks holds a forbidden pair, as the
+    # facet was a maximal independent set
+    _first_facet_replaced(monkeypatch, lambda c, f: f | {min(set(c.vertices) - f)})
+    rc, out, err = run(capsys, "facets", path("ex1"), "--oracle")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "internal invariant violation: facet contains a forbidden pair: "
+        "[(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1)]\n"
+    )
+
+
+def test_facets_oracle_catches_a_facet_that_is_not_maximal(capsys, monkeypatch):
+    _first_facet_replaced(monkeypatch, lambda c, f: f - {max(f)})
+    rc, out, err = run(capsys, "facets", path("ex1"), "--oracle")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "internal invariant violation: facet is not maximal: "
+        "[(1, 1), (1, 2), (1, 3), (2, 3)]\n"
+    )
+
+
+def test_unknown_fixture_name_raises_key_error():
+    with pytest.raises(KeyError, match="no fixture named 'nonesuch'"):
+        fixture_path("nonesuch")
 
 
 def test_unknown_command_exits_1(capsys):

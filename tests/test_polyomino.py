@@ -64,6 +64,8 @@ def test_parse_rejects_bad_input():
         parse("##\n#")
     with pytest.raises(MalformedGrid):
         parse("#x")
+    with pytest.raises(MalformedGrid, match="^bad JSON: "):
+        parse("[[1, 1],")
     with pytest.raises(MalformedGrid):
         parse('{"a": 1}')
     with pytest.raises(MalformedGrid):

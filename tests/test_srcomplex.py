@@ -592,3 +592,10 @@ def test_link_decompose_rejects_bad_input():
         link_decompose(c, (1, 1), good)
     with pytest.raises(DecompositionFailed):
         link_decompose(c, v, frozenset({(1, 1)}))
+    # a rectangle's distinguished vertex tops its lowest column, and no
+    # cell lies at or above that level
+    box = parse("##\n##")
+    c = complex_of(box)
+    v = distinguished_vertex(box)
+    with pytest.raises(DecompositionFailed, match="^rectangle: no cells at or above the top level$"):
+        link_decompose(c, v, next(iter(link_facets(c, v))))
