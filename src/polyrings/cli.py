@@ -61,10 +61,6 @@ def _load(args) -> Polyomino:
     return parse(text)
 
 
-def _vertex_list(vs) -> list[list[int]]:
-    return [list(v) for v in sorted(vs)]
-
-
 def _budgeted(fn, *args):
     """fn(*args), or None when a work budget stops it; an --oracle
     cross-check that needs the value is then skipped."""
@@ -90,9 +86,9 @@ def cmd_check(p: Polyomino, args) -> int:
         "convex": convex,
         "stack": stack,
         "heights": list(heights(p)) if convex else None,
-        "inside_corners": _vertex_list(cs["inside"]),
-        "outside_corners": _vertex_list(cs["outside"]),
-        "interior_corners": _vertex_list(cs["interior"]),
+        "inside_corners": sorted(cs["inside"]),
+        "outside_corners": sorted(cs["outside"]),
+        "interior_corners": sorted(cs["interior"]),
     }
     if args.json:
         _emit_json(info)
@@ -226,7 +222,7 @@ def cmd_facets(p: Polyomino, args) -> int:
             {
                 "d": c.d,
                 "count": len(fs),
-                "facets": [_vertex_list(f) for f in fs],
+                "facets": [sorted(f) for f in fs],
             }
         )
         return 0
@@ -256,8 +252,8 @@ def cmd_decompose(p: Polyomino, args) -> int:
         _emit_json(
             {
                 "v": list(dec.v),
-                "p1": {"cells": _vertex_list(dec.p1.cells), "grid": serialize(dec.p1)},
-                "p2": {"cells": _vertex_list(dec.p2.cells), "grid": serialize(dec.p2)},
+                "p1": {"cells": sorted(dec.p1.cells), "grid": serialize(dec.p1)},
+                "p2": {"cells": sorted(dec.p2.cells), "grid": serialize(dec.p2)},
             }
         )
         return 0
@@ -285,7 +281,7 @@ def cmd_groebner(p: Polyomino, args) -> int:
                 "minors": [
                     {
                         "corners": [list(mn.corners[0]), list(mn.corners[1])],
-                        "leading": _vertex_list(leading_term(mn, order)),
+                        "leading": sorted(leading_term(mn, order)),
                     }
                     for mn in minors
                 ],
@@ -324,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--oracle",
             action="store_true",
-            help="run brute-force cross-checks, fail on disagreement",
+            help="run independent cross-checks, exit 2 on disagreement",
         )
         sp.set_defaults(func=fn)
     return top

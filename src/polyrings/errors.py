@@ -34,7 +34,7 @@ class NotStack(PolyominoError):
 
 
 class TooLarge(PolyominoError):
-    """Input exceeds the work budget of an exponential stage."""
+    """Input exceeds a work budget: of an exponential stage or the Groebner check."""
 
 
 class GroebnerUnverified(PolyominoError):

@@ -7,20 +7,31 @@ numerator Q(t) of the Hilbert series comes from the f-vector;
 invariants.full_report reads multiplicity Q(1), regularity deg Q and
 a-invariant deg Q - d off it, where d = m + n - 1 is the Krull dimension.
 
+The forbidden pairs arrive from toric as pairs of rank positions under
+c.order (0 at the top), and the searches work on those: no vertex is
+hashed to build the complex. FlagComplex.forbidden reads them as vertex
+frozensets only when a caller asks.
+
 Chain path. Orient each compatible (non-forbidden) pair upwards along
-the variable ranking c.order. When that orientation is transitive, the
-complex is the order complex of a poset: faces are chains and facets are
-maximal chains. f_vector then counts chains in rank order in O(V^2 d)
-and facets lists the maximal chains by a DP over the cover relations,
-from the top of the ranking down, at a cost that follows the number of
-facets. The transitivity is checked at runtime, once per complex; it
-held on every stack tried (all stacks with at most 10 cells) and fails
-on most non-stack convex shapes. When it fails, f_vector falls back to
-counting independent sets of the forbidden-pair graph by a memoised DP
-on packed polynomials: isolated vertices give a (1 + t)^k row, a
-disconnected vertex set the product of its components, and a connected
-one branches on its busiest vertex. facets falls back to Bron-Kerbosch.
-Both paths keep the purity checks.
+the ranking. When that orientation is transitive, the complex is the
+order complex of a poset: faces are chains and facets are maximal
+chains. The up-set of each position (the positions above it that are
+compatible with it) is one bitset, built straight from the rank pairs.
+f_vector then counts chains in rank order in O(V^2 d), and facets lists
+the maximal chains by a DP over the cover relations, from the top of
+the ranking down, at a cost that follows the number of facets. A cover
+walk reads each vertex's covers off its up-set: the lowest-ranked
+element left is a cover, and everything above it is dropped, one step
+per cover. The transitivity is checked at runtime, once per complex,
+by one test per forbidden pair; it held on every stack tried (all
+stacks with at most 10 cells) and fails on most non-stack convex
+shapes. When it fails, f_vector falls back to counting independent sets
+of the forbidden-pair graph by a memoised DP on packed polynomials:
+isolated vertices give a (1 + t)^k row, a disconnected vertex set the
+product of its components, and a connected one branches on its busiest
+vertex. facets falls back to Bron-Kerbosch. Both fallbacks run on the
+graph re-indexed by sorted vertex, built only when they run. Both paths
+keep the purity checks.
 
 Two work budgets stop the exponential stages, each checked against
 what the stage already measures, and raise TooLarge naming the budget:
@@ -32,13 +43,14 @@ Both f_vector paths keep a polynomial in one int with nv + 1 bits per
 coefficient (nv vertices); no face count reaches 2^nv, so no
 coefficient spills into the next.
 
-Both facet searches produce int masks with vertex k at bit nv-1-k, so
-one descending sort of the masks puts the facets in the order of their
-ascending vertex tuples. Purity is checked on the masks. Each facet is
-then the one before it, symmetric difference the vertices whose bits
-flip between their masks; _members builds each distinct flip's vertex
-set once, and frozenset ^ frozenset reuses the hashes both sets store,
-so no vertex is hashed again.
+Both facet searches produce int masks with vertex k (of the sorted
+vertices) at bit nv-1-k; the chain path places each rank position's bit
+there as it joins a chain. So one descending sort of the masks puts the
+facets in the order of their ascending vertex tuples. Purity is checked
+on the masks. Each facet is then the one before it, symmetric
+difference the vertices whose bits flip between their masks; _members
+builds each distinct flip's vertex set once, and frozenset ^ frozenset
+reuses the hashes both sets store, so no vertex is hashed again.
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ from operator import xor
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from .polyomino import Polyomino, distinguished_vertex
-from .toric import Variable, VarOrder, initial_ideal
+from .toric import InitialIdeal, Variable, VarOrder, initial_ideal
 
 Facet = frozenset[Variable]
 
@@ -61,14 +73,18 @@ MAX_FACETS = 50_000
 class FlagComplex:
     """The flag complex on vertices with the given forbidden pairs.
 
-    Compared by identity: the underscored slots are the adjacency masks
-    built here and the caches that facets, f_vector, _rank_poset and
-    link_decompose (per vertex) fill on first use.
+    Compared by identity. The forbidden pairs are held as an
+    InitialIdeal under order (build_complex puts initial_ideal's own
+    in place): forbidden reads its generators as vertex frozensets, the
+    searches read them as pairs of rank positions.
+    vertices is sorted, and order ranks exactly those vertices. The
+    underscored slots are the caches that facets, f_vector, _rank_poset,
+    _adjacency and link_decompose (per vertex) fill on first use.
     """
 
     __slots__ = (
-        "poly", "order", "vertices", "forbidden", "d",
-        "_index", "_adj", "_facets", "_counts", "_links", "_poset",
+        "poly", "order", "vertices", "d",
+        "_ideal", "_adj", "_facets", "_counts", "_links", "_poset",
     )
 
     def __init__(
@@ -82,19 +98,17 @@ class FlagComplex:
         self.poly = poly
         self.order = order
         self.vertices = vertices
-        self.forbidden = forbidden
         self.d = d
-        self._index = {v: k for k, v in enumerate(vertices)}
-        adj = [0] * len(vertices)
-        for a, b in forbidden:
-            ia, ib = self._index[a], self._index[b]
-            adj[ia] |= 1 << ib
-            adj[ib] |= 1 << ia
-        self._adj = tuple(adj)
+        self._ideal = InitialIdeal(forbidden, order)
+        self._adj = None
         self._facets = None
         self._counts = None
         self._links = {}
         self._poset = None  # () once refuted
+
+    @property
+    def forbidden(self) -> frozenset[Facet]:
+        return self._ideal.generators
 
     def __repr__(self):
         return (
@@ -107,13 +121,30 @@ def build_complex(p: Polyomino, order: VarOrder | None = None) -> FlagComplex:
     """The flag complex of in(I_P) under order, the height order by
     default; initial_ideal checks that order ranks exactly p's vertices."""
     ideal = initial_ideal(p, order)
-    return FlagComplex(
-        poly=p,
-        order=ideal.order,
-        vertices=tuple(sorted(p.vertices)),
-        forbidden=ideal.generators,
-        d=p.m + p.n - 1,
-    )
+    c = FlagComplex(p, ideal.order, tuple(sorted(p.vertices)), None, p.m + p.n - 1)
+    c._ideal = ideal
+    return c
+
+
+def _rank(c: FlagComplex) -> list[int]:
+    """The sorted index of each vertex, from the top of c.order down."""
+    index = {v: k for k, v in enumerate(c.vertices)}
+    return [index[v] for v in c.order.ranked]
+
+
+def _adjacency(c: FlagComplex) -> tuple:
+    """The forbidden-pair graph of the fallback searches, on sorted
+    indices: adj[k] holds the bits of the vertices forbidden with vertex
+    k. Built once per complex, from the ideal's rank pairs."""
+    if c._adj is None:
+        rank = _rank(c)
+        adj = [0] * len(rank)
+        for u, w in c._ideal._rank_leads():
+            a, b = rank[u], rank[w]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        c._adj = tuple(adj)
+    return c._adj
 
 
 def _max_independent_sets(adj: tuple, mask: int) -> list[int]:
@@ -167,50 +198,51 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 def _rank_poset(c: FlagComplex) -> tuple | None:
-    """(rank, up) when c.order orients the compatibility graph
-    transitively, else None; computed once per complex.
+    """up, when c.order orients the compatibility graph transitively,
+    else None; computed once per complex.
 
-    rank lists the vertex indices from the top of c.order down; up[v]
-    is the bitset of vertices ranked above v and compatible with it.
-    Transitivity (up[u] inside up[v] for every u in up[v]) fails exactly
-    when some forbidden pair v below w has a vertex between them that is
-    compatible with both, so only the forbidden pairs are checked.
+    Vertex r is the rank position r under c.order, 0 at the top. up[r]
+    is the bitset of the positions above r that are compatible with r:
+    the bits below bit r, less r's forbidden partners, read off the
+    ideal's rank pairs. Transitivity fails exactly when some forbidden
+    pair u above w has a position between them that is compatible with
+    both, so each pair is tested once, up[w] against the positions past
+    u that are compatible with u.
     """
     if c._poset is None:
-        adj = c._adj
-        rank = tuple(c._index[v] for v in c.order.ranked)
-        up = [0] * len(adj)
-        seen = 0
-        for v in rank:
-            up[v] = seen & ~adj[v]
-            seen |= 1 << v
-        seen = 0
-        for w in reversed(rank):
-            down = seen & ~adj[w]
-            if any(up[v] & down for v in _bits(seen & adj[w])):
-                c._poset = ()
-                return None
-            seen |= 1 << w
-        c._poset = (rank, tuple(up))
+        leads = c._ideal._rank_leads()
+        nv = len(c.vertices)
+        near = [0] * nv
+        for u, w in leads:
+            near[u] |= 1 << w
+            near[w] |= 1 << u
+        up = tuple(((1 << r) - 1) & ~near[r] for r in range(nv))
+        # -(2 << u) sets every bit past u
+        down = [-(2 << u) & ~near[u] for u in range(nv)]
+        if any(up[w] & down[u] for u, w in leads):
+            c._poset = ()
+            return None
+        c._poset = up
     return c._poset or None
 
 
-def _chain_counts(rank: tuple, up: tuple) -> tuple[int, ...]:
+def _chain_counts(up: tuple) -> tuple[int, ...]:
     """Number of chains of each size, the empty chain included.
 
-    P_v(t) = t (1 + sum of P_u(t) over u in up[v]) counts the chains
-    whose lowest element is v. Each polynomial is packed into one int
+    P_r(t) = t (1 + sum of P_u(t) over u in up[r]) counts the chains
+    whose lowest element is r. Each polynomial is packed into one int
     with len(up) + 1 bits per coefficient, which no count reaches.
     """
     width = len(up) + 1
-    poly = [0] * len(up)
+    poly: list[int] = []
     total = 1
-    for v in rank:
+    for mask in up:
         acc = 1
-        for u in _bits(up[v]):
+        for u in _bits(mask):
             acc += poly[u]
-        poly[v] = acc << width
-        total += poly[v]
+        acc <<= width
+        poly.append(acc)
+        total += acc
     return _unpack(total, width)
 
 
@@ -225,31 +257,34 @@ def _unpack(packed: int, width: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _chain_masks(rank: tuple, up: tuple) -> list[int]:
+def _chain_masks(up: tuple, rank: list[int]) -> list[int]:
     """Maximal chains as facet masks (vertex k at bit nv-1-k).
 
-    A DP over the cover relations from the top of the ranking down:
-    chains[v] holds the maximal chains whose lowest element is v, each
-    the bit of v joined to a chain starting at a cover of v, or the bit
-    of v alone when nothing covers v. The maximal chains are those of
-    the minimal elements.
+    Vertices are rank positions as in _rank_poset, and rank[r] is the
+    sorted index of position r, which places its bit. A DP from the top
+    of the ranking down: chains[r] holds the maximal chains whose lowest
+    element is r, each the bit of r joined to a chain that starts at a
+    cover of r, or the bit of r alone when nothing covers r. The cover
+    walk reads the covers of r off up[r]: its lowest-ranked element q
+    (the highest bit) is a cover, and by transitivity nothing in up[q]
+    is, so q and up[q] are dropped and the walk repeats, one step per
+    cover. The maximal chains are those of the minimal elements, which
+    lie in no up-set.
     """
     nv = len(up)
-    chains: list = [None] * nv
+    bits = [1 << (nv - 1 - k) for k in rank]
+    chains: list[list[int]] = []
     below = 0
-    for v in rank:
-        mask = up[v]
-        inner = 0
-        for u in _bits(mask):
-            inner |= up[u]
-        bit = 1 << (nv - 1 - v)
-        covers = _bits(mask & ~inner)
-        if covers:
-            chains[v] = [bit | m for u in covers for m in chains[u]]
-        else:
-            chains[v] = [bit]
+    for r, mask in enumerate(up):
         below |= mask
-    return [m for v in _bits(((1 << nv) - 1) & ~below) for m in chains[v]]
+        bit = bits[r]
+        got: list[int] = []
+        while mask:
+            q = mask.bit_length() - 1
+            got += [bit | m for m in chains[q]]
+            mask &= ~(up[q] | 1 << q)
+        chains.append(got or [bit])
+    return [m for r in _bits(((1 << nv) - 1) & ~below) for m in chains[r]]
 
 
 def _mirrored(adj: tuple) -> tuple:
@@ -295,9 +330,9 @@ def facets(c: FlagComplex) -> tuple[Facet, ...]:
         raise TooLarge(f"{count} facets exceed the budget MAX_FACETS = {MAX_FACETS}")
     poset = _rank_poset(c)
     if poset is not None:
-        masks = _chain_masks(*poset)
+        masks = _chain_masks(poset, _rank(c))
     else:
-        masks = _max_independent_sets(_mirrored(c._adj), (1 << len(c.vertices)) - 1)
+        masks = _max_independent_sets(_mirrored(_adjacency(c)), (1 << len(c.vertices)) - 1)
     masks.sort(reverse=True)
     for mask in masks:
         if mask.bit_count() != c.d:
@@ -384,9 +419,9 @@ def f_vector(c: FlagComplex) -> tuple[int, ...]:
         return c._counts
     poset = _rank_poset(c)
     if poset is not None:
-        counts = _chain_counts(*poset)
+        counts = _chain_counts(poset)
     else:
-        counts = _independent_counts(c._adj, (1 << len(c.vertices)) - 1, {})
+        counts = _independent_counts(_adjacency(c), (1 << len(c.vertices)) - 1, {})
     if len(counts) != c.d + 1:
         raise NotPure(
             f"face sizes reach {len(counts) - 1}, expected d = {c.d}"
@@ -420,7 +455,7 @@ def link_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
     In a flag complex these are exactly the facets of lk(v), so together
     with deletion_facets they partition the facet list.
     """
-    if v not in c._index:
+    if v not in c.vertices:
         raise ValueError(f"{v} is not a vertex of the complex")
     return tuple(f - {v} for f in facets(c) if v in f)
 
@@ -432,7 +467,7 @@ def deletion_facets(c: FlagComplex, v: Variable) -> tuple[Facet, ...]:
     size hiding under facets through v; those never take part in the
     facet counting, so they are not reported.
     """
-    if v not in c._index:
+    if v not in c.vertices:
         raise ValueError(f"{v} is not a vertex of the complex")
     return tuple(f for f in facets(c) if v not in f)
 

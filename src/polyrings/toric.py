@@ -19,21 +19,33 @@ Each layer costs about one operation per minor or per S-pair it reports:
   l-h..l-1, already in (k, l, i, j) order. The walk stops at the first
   missing cell, so it visits no column without a minor. No convexity
   is assumed.
+- One rank encoding. Each variable is its position in the order's
+  ranking (0 at the top), read once per minor corner from a table of
+  the vertices by column and level. A leading term or trail is the
+  ascending pair of its two positions. The Groebner check consumes these
+  pairs, and so does srcomplex.build_complex, which builds its bitsets
+  from them; InitialIdeal.generators turns them into vertex frozensets
+  only when a caller reads it.
 - Leading terms. The diagonal and antidiagonal are disjoint squarefree
   quadratics, and under revlex the smaller of the two is the one that
-  holds the lowest-ranked of the four variables. So a leading term is
-  read off four rank positions.
+  holds the lowest-ranked (largest position) of the four variables. So
+  a leading term is read off four rank positions.
 - Groebner check. Buchberger's criterion, with S-pairs of coprime
   leading terms skipped. Generators are indexed by the variables of
   their leading terms, so only pairs that share a variable are visited,
-  each once. The check runs on rank positions, the ints of
-  VarOrder._pos, not on (column, level) tuples. Both sides of an S-pair
-  are degree-3 monomials, held as three ascending ints; each is reduced
-  by looking up its three variable pairs, keyed as one int each, in a
-  leading-term to trailing-term table until none matches. Which matching
-  generator rewrites first does not change the verdict: under a
-  Groebner basis normal forms are unique, and if every S-pair reaches a
-  common normal form the basis property follows.
+  each once. Both sides of an S-pair are degree-3 monomials, held as
+  three ascending positions; each is reduced by looking up its three
+  variable pairs, keyed as one int each, in a leading-term to
+  trailing-term table until none matches. Which matching generator
+  rewrites first does not change the verdict: under a Groebner basis
+  normal forms are unique, and if every S-pair reaches a common normal
+  form the basis property follows.
+- Budget. The S-pairs to reduce number the sum of C(k, 2) over the k
+  leading terms that hold each variable, known before the first
+  reduction. Past MAX_SPAIRS the check raises TooLarge naming it. An
+  S-pair costs about 1 us (Python 3.11, one core of a 2-core VM), so
+  the budget is about 2 s of work. A stack's own height order needs no
+  check and meets no budget.
 
 An order must rank exactly the vertices of P; initial_ideal and
 verify_groebner raise BadParameters otherwise.
@@ -43,11 +55,15 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadParameters, ConsistencyError, GroebnerUnverified
+from .errors import BadParameters, ConsistencyError, GroebnerUnverified, TooLarge
 from .polyomino import Polyomino, heights, is_stack
 
 Variable = tuple[int, int]
-Monomial = tuple[Variable, ...]
+# two rank positions under a VarOrder, ascending: a squarefree quadratic
+Pair = tuple[int, int]
+
+# the work budget of the Groebner check (see the module docstring)
+MAX_SPAIRS = 2_000_000
 
 
 def var_str(v: Variable) -> str:
@@ -126,13 +142,10 @@ class InnerMinor(NamedTuple):
         return f"{mono_str(self.antidiagonal)} - {mono_str(self.diagonal)}"
 
 
-def inner_minors(p: Polyomino) -> list[InnerMinor]:
-    """All inner minors, sorted by (k, l, i, j).
-
-    Walks left from each top-right cell, keeping the least downward run
-    of cells; see the module docstring.
-    """
-    out = []
+def _spans(p: Polyomino):
+    """(i, k, l, h) for each top-right cell (k-1, l-1) and each column i
+    of its walk left: the minors (i, j, k, l) for j in l-h..l-1, in
+    (k, l, i) order; see the module docstring."""
     # run[cell]: cells in the unbroken column run that ends at cell
     run: dict[tuple[int, int], int] = {}
     for cell in sorted(p.cells):
@@ -149,38 +162,39 @@ def inner_minors(p: Polyomino) -> list[InnerMinor]:
                 h = left
         k, l = cell[0] + 1, r + 1
         for i, h in reversed(spans):
-            for j in range(l - h, l):
-                out.append(InnerMinor(i, j, k, l))
-    return out
+            yield i, k, l, h
 
 
-def _terms(mn: InnerMinor, pos: dict[Variable, int]) -> tuple[Monomial, Monomial]:
-    """(lead, trail) of a minor as sorted variable pairs: the monomial
-    holding the lowest-ranked (largest position) of the four variables
-    is the revlex-smaller one."""
-    i, j, k, l = mn.i, mn.j, mn.k, mn.l
-    diag = ((i, j), (k, l))
-    anti = ((i, l), (k, j))
-    if max(pos[anti[0]], pos[anti[1]]) > max(pos[diag[0]], pos[diag[1]]):
-        return diag, anti
-    return anti, diag
+def inner_minors(p: Polyomino) -> list[InnerMinor]:
+    """All inner minors, sorted by (k, l, i, j).
+
+    Walks left from each top-right cell, keeping the least downward run
+    of cells; see the module docstring.
+    """
+    return [InnerMinor(i, j, k, l) for i, k, l, h in _spans(p) for j in range(l - h, l)]
 
 
 def leading_term(minor: InnerMinor, order: VarOrder) -> frozenset[Variable]:
-    """The revlex-larger of the minor's two monomials; BadParameters names
-    the minor's variables that the order does not rank."""
+    """The revlex-larger of the minor's two monomials: the one without
+    the lowest-ranked (largest position) of the four variables.
+    BadParameters names the minor's variables that the order does not
+    rank."""
+    pos = order._pos
+    i, j, k, l = minor
     try:
-        return frozenset(_terms(minor, order._pos)[0])
+        anti_low = max(pos[i, l], pos[k, j])
+        diag_low = max(pos[i, j], pos[k, l])
     except KeyError:
-        missing = sorted((minor.diagonal | minor.antidiagonal) - order._pos.keys())
+        missing = sorted((minor.diagonal | minor.antidiagonal) - pos.keys())
         raise BadParameters(
             f"the order does not rank every variable of the minor {minor}; "
             "unranked: " + " ".join(var_str(v) for v in missing)
         ) from None
+    return minor.diagonal if anti_low > diag_low else minor.antidiagonal
 
 
-def _check_ranks(p: Polyomino, order: VarOrder) -> None:
-    """An order must rank exactly the vertices of p."""
+def _check_ranks(p: Polyomino, order: VarOrder) -> VarOrder:
+    """order, which must rank exactly the vertices of p."""
     ranked = set(order.ranked)
     if ranked != p.vertices:
         missing = " ".join(var_str(v) for v in sorted(p.vertices - ranked))
@@ -190,37 +204,76 @@ def _check_ranks(p: Polyomino, order: VarOrder) -> None:
             + (f"; unranked: {missing}" if missing else "")
             + (f"; not vertices: {extra}" if extra else "")
         )
+    return order
 
 
-def _minor_terms(
-    p: Polyomino, order: VarOrder | None
-) -> tuple[VarOrder, list[InnerMinor], list[tuple[Monomial, Monomial]]]:
-    """The order (checked, or the default), the inner minors and their
-    (lead, trail) pairs: one pass shared by initial_ideal and
-    verify_groebner."""
-    if order is None:
-        order = variable_order(p)
-    else:
-        _check_ranks(p, order)
-    minors = inner_minors(p)
-    pos = order._pos
-    return order, minors, [_terms(mn, pos) for mn in minors]
+def _rank_terms(p: Polyomino, order: VarOrder) -> tuple[list[Pair], list[Pair]]:
+    """The leads and trails of the inner minors, in inner_minors order,
+    each the ascending pair of its variables' rank positions; order
+    ranks exactly p's vertices."""
+    # at[i][j]: the rank position of the vertex (i, j)
+    at = [[0] * (p.n + 1) for _ in range(p.m + 1)]
+    for r, (i, j) in enumerate(order.ranked):
+        at[i][j] = r
+    leads: list[Pair] = []
+    trails: list[Pair] = []
+    for i, k, l, h in _spans(p):
+        col_i, col_k = at[i], at[k]
+        il, kl = col_i[l], col_k[l]
+        for j in range(l - h, l):
+            ij, kj = col_i[j], col_k[j]
+            diag = (ij, kl) if ij < kl else (kl, ij)
+            anti = (il, kj) if il < kj else (kj, il)
+            if anti[1] > diag[1]:
+                leads.append(diag)
+                trails.append(anti)
+            else:
+                leads.append(anti)
+                trails.append(diag)
+    return leads, trails
 
 
 class InitialIdeal:
     """Squarefree quadratic generators of in(I_P) plus the order used.
 
-    Immutable, and compared by identity.
+    Immutable, and compared by identity. initial_ideal keeps each
+    generator as the ascending pair of its variables' rank positions
+    under order, and builds the vertex frozensets of generators from
+    those pairs on first read. An ideal made from its generators derives
+    the pairs on first use of _rank_leads.
     """
 
-    __slots__ = ("generators", "order")
+    __slots__ = ("order", "_generators", "_leads")
 
     def __init__(self, generators: frozenset[frozenset[Variable]], order: VarOrder):
-        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_generators", generators)
+        object.__setattr__(self, "_leads", None)
+
+    @classmethod
+    def _from_leads(cls, leads: list[Pair], order: VarOrder) -> InitialIdeal:
+        ideal = cls(None, order)
+        object.__setattr__(ideal, "_leads", leads)
+        return ideal
 
     def __setattr__(self, name, value):
         raise AttributeError("InitialIdeal is immutable")
+
+    @property
+    def generators(self) -> frozenset[frozenset[Variable]]:
+        if self._generators is None:
+            ranked = self.order.ranked
+            gens = frozenset(frozenset((ranked[u], ranked[w])) for u, w in self._leads)
+            object.__setattr__(self, "_generators", gens)
+        return self._generators
+
+    def _rank_leads(self) -> list[Pair]:
+        """The generators as ascending pairs of rank positions."""
+        if self._leads is None:
+            pos = self.order._pos
+            leads = [tuple(sorted(pos[v] for v in g)) for g in self._generators]
+            object.__setattr__(self, "_leads", leads)
+        return self._leads
 
     def __repr__(self):
         return f"InitialIdeal(generators={self.generators!r}, order={self.order!r})"
@@ -234,15 +287,15 @@ def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     one of a non-stack, is first run through the Groebner check.
     """
     trusted = order is None and is_stack(p)
-    order, minors, terms = _minor_terms(p, order)
-    if not trusted and not _is_groebner(terms, order._pos):
+    order = variable_order(p) if order is None else _check_ranks(p, order)
+    leads, trails = _rank_terms(p, order)
+    if not trusted and not _is_groebner(leads, trails, len(order.ranked)):
         raise GroebnerUnverified(
             "inner minors are not a Groebner basis for the given order"
         )
-    leads = frozenset(frozenset(lead) for lead, _ in terms)
-    if len(leads) != len(minors):
+    if len(set(leads)) != len(leads):
         raise ConsistencyError("leading terms collide across minors")
-    return InitialIdeal(leads, order)
+    return InitialIdeal._from_leads(leads, order)
 
 
 def verify_groebner(p: Polyomino, order: VarOrder | None = None) -> bool:
@@ -250,35 +303,34 @@ def verify_groebner(p: Polyomino, order: VarOrder | None = None) -> bool:
 
     S-pairs with coprime leading terms are skipped; the rest stay
     binomial of degree three, and both sides are reduced monomial-wise
-    to normal form. Sound and complete for the yes/no verdict.
+    to normal form. Sound and complete for the yes/no verdict. TooLarge
+    when more than MAX_SPAIRS S-pairs would be reduced.
     """
-    order, _, terms = _minor_terms(p, order)
-    return _is_groebner(terms, order._pos)
+    order = variable_order(p) if order is None else _check_ranks(p, order)
+    return _is_groebner(*_rank_terms(p, order), len(order.ranked))
 
 
-def _is_groebner(terms: list[tuple[Monomial, Monomial]], pos: dict[Variable, int]) -> bool:
-    """Buchberger's criterion on (lead, trail) pairs, visiting only the
-    S-pairs whose leads share a variable.
+def _is_groebner(leads: list[Pair], trails: list[Pair], n: int) -> bool:
+    """Buchberger's criterion on the rank-position pairs of _rank_terms,
+    visiting only the S-pairs whose leads share a variable.
 
-    The check runs on rank positions: each variable becomes its int in
-    pos, a monomial the ascending ints of its variables, and the rewrite
-    table maps a lead u < w, keyed u * len(pos) + w, to its trail. Two
-    distinct leads share at most one variable, so each such pair is
-    visited once, under that variable. For leads v*a and v*b the sides
-    of the S-pair are b*trail_a and a*trail_b.
+    A monomial is the ascending ints of its variables, and the rewrite
+    table maps a lead u < w, keyed u * n + w, to its trail. Two distinct
+    leads share at most one variable, so each such pair is visited once,
+    under that variable: the S-pairs number the sum of C(k, 2) over the
+    k leads of each variable, and past MAX_SPAIRS TooLarge is raised
+    before the first reduction. For leads v*a and v*b the sides of the
+    S-pair are b*trail_a and a*trail_b.
     """
-    n = len(pos)
-    rewrite: dict[int, tuple[int, int]] = {}
-    by_var: dict[int, list[tuple[int, int, int]]] = {}
-    for (u, w), (s, t) in terms:
-        u, w, s, t = pos[u], pos[w], pos[s], pos[t]
-        if u > w:
-            u, w = w, u
-        if s > t:
-            s, t = t, s
+    rewrite: dict[int, Pair] = {}
+    by_var: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for (u, w), (s, t) in zip(leads, trails):
         rewrite[u * n + w] = (s, t)
-        by_var.setdefault(u, []).append((w, s, t))
-        by_var.setdefault(w, []).append((u, s, t))
+        by_var[u].append((w, s, t))
+        by_var[w].append((u, s, t))
+    spairs = sum(k * (k - 1) // 2 for k in map(len, by_var))
+    if spairs > MAX_SPAIRS:
+        raise TooLarge(f"{spairs} S-pairs exceed the budget MAX_SPAIRS = {MAX_SPAIRS}")
     get = rewrite.get
 
     def normal_form(x: int, s: int, t: int) -> tuple[int, int, int]:
@@ -306,7 +358,7 @@ def _is_groebner(terms: list[tuple[Monomial, Monomial]], pos: dict[Variable, int
                     x = a
             s, t = trail
 
-    for gens in by_var.values():
+    for gens in by_var:
         for k, (oa, sa, ta) in enumerate(gens):
             for ob, sb, tb in gens[k + 1 :]:
                 if normal_form(ob, sa, ta) != normal_form(oa, sb, tb):

@@ -15,15 +15,18 @@ from polyrings.polyomino import (
     Polyomino,
     distinguished_vertex,
     is_rectangle,
+    is_stack,
     parse,
     stack_from_profile,
 )
 from polyrings.srcomplex import (
     FlagComplex,
+    _adjacency,
     _bits,
     _chain_masks,
     _independent_counts,
     _max_independent_sets,
+    _rank,
     _rank_poset,
     build_complex,
     deletion_facets,
@@ -133,9 +136,9 @@ def test_chain_path_matches_the_fallback_and_the_recursion():
         mask = (1 << len(c.vertices)) - 1
         fv = f_vector(c)
         fs = facets(c)
-        assert fv == _independent_counts(c._adj, mask, {})
-        assert [tuple(sorted(c._index[v] for v in f)) for f in fs] == sorted(
-            _bits(mk) for mk in _max_independent_sets(c._adj, mask)
+        assert fv == _independent_counts(_adjacency(c), mask, {})
+        assert [tuple(sorted(map(c.vertices.index, f))) for f in fs] == sorted(
+            _bits(mk) for mk in _max_independent_sets(_adjacency(c), mask)
         )
         assert fv[-1] == len(fs) == multiplicity_recursive(p)
 
@@ -173,6 +176,31 @@ def test_fallback_counts_every_intransitive_small_convex_complex():
     assert fallback > 500 and listed == 147
 
 
+def test_chain_path_on_non_stack_posets():
+    # every convex shape with at most 7 cells, under the advisory order
+    # of a non-stack and under the shuffled orders that pass the
+    # Groebner check, wherever the ranking is transitive; the cover walk
+    # is held to the brute listing up to 6 cells
+    chain = listed = 0
+    for p in convex_upto(7):
+        orders = [] if is_stack(p) else [variable_order(p)]
+        for o in orders + shuffled_orders(p):
+            if not verify_groebner(p, o):
+                continue
+            c = build_complex(p, o)
+            if _rank_poset(c) is None:
+                continue
+            chain += 1
+            full = (1 << len(c.vertices)) - 1
+            assert f_vector(c) == _independent_counts(_adjacency(c), full, {}), (p, o)
+            if len(p.cells) <= 6:
+                listed += 1
+                assert [tuple(sorted(f)) for f in facets(c)] == (
+                    brute_maximal_independent_sets(c.vertices, c.forbidden)
+                ), (p, o)
+    assert (chain, listed) == (169, 62)
+
+
 def brute_counts(c, mask):
     """Independent sets inside mask, counted by size, by enumeration."""
     inside = [v for k, v in enumerate(c.vertices) if mask >> k & 1]
@@ -188,9 +216,9 @@ def test_independent_counts_multiply_over_components():
     c = hand_built(v, [(v[a], v[b]) for a, b in edges], 4)
     full = (1 << 10) - 1
     # (1 + 3t) (1 + 3t + t^2) (1 + 2t) (1 + t)^2
-    assert _independent_counts(c._adj, full, {}) == (1, 10, 39, 75, 74, 35, 6)
+    assert _independent_counts(_adjacency(c), full, {}) == (1, 10, 39, 75, 74, 35, 6)
     for mask in (full, 0, 1 << 8, full & ~(1 << 4), 0b1111001110, 0b0011111000):
-        assert _independent_counts(c._adj, mask, {}) == brute_counts(c, mask), bin(mask)
+        assert _independent_counts(_adjacency(c), mask, {}) == brute_counts(c, mask), bin(mask)
 
 
 def test_independent_counts_fit_the_packing_width():
@@ -224,13 +252,13 @@ def test_chain_facets_on_seeded_large_stacks():
         fs = facets(c)
         # each facet rebuilt on its own from its mask, vertex k at bit nv-1-k
         nv = len(c.vertices)
-        masks = sorted(_chain_masks(*_rank_poset(c)), reverse=True)
+        masks = sorted(_chain_masks(_rank_poset(c), _rank(c)), reverse=True)
         assert fs == tuple(
             frozenset(c.vertices[k] for k in range(nv) if m >> (nv - 1 - k) & 1)
             for m in masks
         )
         assert all(type(f) is frozenset for f in fs)
-        keys = [tuple(sorted(c._index[v] for v in f)) for f in fs]
+        keys = [tuple(sorted(map(c.vertices.index, f))) for f in fs]
         assert len(set(fs)) == len(fs)
         assert all(len(f) == c.d for f in fs)
         assert keys == sorted(keys)
@@ -260,7 +288,7 @@ def test_bron_kerbosch_on_seeded_random_graphs():
         c = hand_built(verts, pairs, 1)
         got = sorted(
             tuple(verts[k] for k in _bits(mk))
-            for mk in _max_independent_sets(c._adj, (1 << n) - 1)
+            for mk in _max_independent_sets(_adjacency(c), (1 << n) - 1)
         )
         assert got == brute_maximal_independent_sets(verts, c.forbidden), seed
 
@@ -389,12 +417,12 @@ def test_dp_budget_stops_the_fallback(monkeypatch):
     assert len(c.vertices) == 76 and _rank_poset(c) is None
     full = (1 << 76) - 1
     memo: dict = {}
-    _independent_counts(c._adj, full, memo)
+    _independent_counts(_adjacency(c), full, memo)
     assert len(memo) == 2030
     monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 1000)
     memo = {}
     with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):
-        _independent_counts(c._adj, full, memo)
+        _independent_counts(_adjacency(c), full, memo)
     assert len(memo) == 1001
     for fn in (f_vector, hilbert_numerator, facets):
         with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):

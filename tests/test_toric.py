@@ -1,6 +1,7 @@
 import pytest
 
-from polyrings.errors import BadParameters, GroebnerUnverified
+from polyrings import toric
+from polyrings.errors import BadParameters, GroebnerUnverified, TooLarge
 from polyrings.invariants import full_report
 from polyrings.polyomino import Polyomino, heights, parse, transpose
 from polyrings.srcomplex import build_complex
@@ -289,6 +290,47 @@ def test_verify_groebner_matches_the_all_pairs_oracle():
             assert got == brute_verify_groebner(p, o.ranked), (p, o)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_generators_are_the_leading_terms():
+    # the rank pairs that initial_ideal and build_complex keep, read back
+    # as vertex pairs, against the public per-minor route
+    checked = 0
+    for p in convex_upto(7):
+        for o in [variable_order(p), *shuffled_orders(p)]:
+            if not verify_groebner(p, o):
+                continue
+            want = {leading_term(mn, o) for mn in inner_minors(p)}
+            assert initial_ideal(p, o).generators == want, (p, o)
+            assert build_complex(p, o).forbidden == want, (p, o)
+            checked += 1
+    assert checked == 1401
+
+
+def spair_count(p, order):
+    """S-pairs with overlapping leads, counted off the public leading terms."""
+    leads = [leading_term(mn, order) for mn in inner_minors(p)]
+    return sum(1 for a in range(len(leads)) for b in range(a) if leads[a] & leads[b])
+
+
+def test_spair_budget_stops_the_check_before_reducing(monkeypatch):
+    p = fx("fig9")
+    order = variable_order(p)
+    count = spair_count(p, order)
+    assert toric.MAX_SPAIRS == 2_000_000 and count == 36
+    monkeypatch.setattr(toric, "MAX_SPAIRS", count - 1)
+    refusal = f"{count} S-pairs exceed the budget MAX_SPAIRS = {count - 1}"
+    for fn in (verify_groebner, initial_ideal, build_complex):
+        with pytest.raises(TooLarge, match=f"^{refusal}$"):
+            fn(p, order)
+    r = full_report(p, order)
+    assert r.h_vector is None and r.methods["h_vector"] == "unavailable"
+    assert r.notes == (refusal,)
+    # inclusive; and a stack's own height order is not checked at all
+    monkeypatch.setattr(toric, "MAX_SPAIRS", count)
+    assert verify_groebner(p, order)
+    monkeypatch.setattr(toric, "MAX_SPAIRS", 0)
+    assert len(initial_ideal(fx("ex3")).generators) == len(inner_minors(fx("ex3")))
 
 
 def test_verify_groebner_on_the_9x9_rectangle():
