@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 input or validation problems, 2 internal
 invariant violations (purity, bijection, cross-method disagreement).
+Under --json an error is one JSON object on stdout, {"error": {"class",
+"message", "exit_code"}}; otherwise it is one line on stderr.
 """
 
 from __future__ import annotations
@@ -336,11 +338,19 @@ def main(argv=None) -> int:
         p = _load(args)
         return args.func(p, args)
     except (ConsistencyError, NotPure, DecompositionFailed, NotAFacet) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, 2, "internal invariant violation")
     except PolyominoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc, 1, "error")
+
+
+def _fail(args, exc: PolyominoError, code: int, label: str) -> int:
+    """Report exc and return its exit code: one JSON object on stdout
+    under --json, else one labelled line on stderr."""
+    if args.json:
+        _emit_json({"error": {"class": type(exc).__name__, "message": str(exc), "exit_code": code}})
+    else:
+        print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -49,14 +49,19 @@ there as it joins a chain. So one descending sort of the masks puts the
 facets in the order of their ascending vertex tuples. Purity is checked
 on the masks. Each facet is then the one before it, symmetric
 difference the vertices whose bits flip between their masks; _members
-builds each distinct flip's vertex set once, and frozenset ^ frozenset
-reuses the hashes both sets store, so no vertex is hashed again.
+builds each distinct flip's vertex set once. CPython's a ^ b copies b's
+hash table and toggles a's members in it, reusing the hashes both sets
+store, so the flip set goes on the left: flip ^ previous copies the
+previous facet's table once and toggles the few flipped vertices.
+previous ^ flip would instead insert every vertex of the previous facet
+into a copy of the small flip set, resizing as it grows, and end with a
+table twice as large (a 30-vertex facet: 2,264 bytes against 1,240 on
+CPython 3.10-3.13) and twice the slots for the cyclic collector to walk.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, compress, repeat
-from operator import xor
 
 from .errors import DecompositionFailed, NotAFacet, NotPure, TooLarge
 from .polyomino import Polyomino, distinguished_vertex
@@ -65,7 +70,7 @@ from .toric import InitialIdeal, Variable, VarOrder, initial_ideal
 Facet = frozenset[Variable]
 
 # the work budgets of the exponential stages (see the module docstring);
-# about 3 s of DP, and about 0.2 s and 120 MB of facets
+# about 3 s of DP, and about 0.12 s and 80 MB of facets
 MAX_DP_ENTRIES = 200_000
 MAX_FACETS = 50_000
 
@@ -320,8 +325,9 @@ def facets(c: FlagComplex) -> tuple[Facet, ...]:
     Purity is checked on the masks. Consecutive masks differ in a few
     bits (3.8 on average over the facets of 30-60 vertex stacks), so
     each facet is built from the one before it by one symmetric
-    difference with the vertex set of the bits that flip, and each
-    distinct flip's set is built once.
+    difference with the vertex set of the bits that flip, flip set on
+    the left so that the previous facet's table is the one copied (see
+    the module docstring), and each distinct flip's set is built once.
     """
     if c._facets is not None:
         return c._facets
@@ -343,7 +349,8 @@ def facets(c: FlagComplex) -> tuple[Facet, ...]:
     flips = [a ^ b for a, b in zip([0, *masks], masks)]
     distinct = list(set(flips))
     steps = dict(zip(distinct, map(frozenset, _members(c.vertices, distinct))))
-    c._facets = tuple(accumulate(map(steps.__getitem__, flips), xor))
+    # accumulate calls __rxor__(previous, flip), which is flip ^ previous
+    c._facets = tuple(accumulate(map(steps.__getitem__, flips), frozenset.__rxor__))
     return c._facets
 
 

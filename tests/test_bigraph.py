@@ -1,22 +1,17 @@
 """The paper's bipartite graph of a convex polyomino, read through the
 oracles' neighbour sets: interval conditions, Hall's condition as the
-Gorenstein scan reports it, directed cuts and the rook number."""
+Gorenstein scan reports it, and directed cuts against the rook number."""
 
 from itertools import combinations
 
-import pytest
-
-from polyrings.errors import NotConvex
 from polyrings.gorenstein import is_gorenstein_convex
-from polyrings.invariants import full_report, rook_number
-from polyrings.polyomino import Polyomino
+from polyrings.invariants import rook_number
 from polyrings.srcomplex import hilbert_numerator
 from oracles import (
     brute_deltas,
     brute_directed_cuts,
     brute_max_disjoint_cuts,
     brute_perfect_matching,
-    brute_rook_number,
     horizontal_interval,
     induced_connected,
     neigh_x,
@@ -24,7 +19,7 @@ from oracles import (
     vertical_interval,
     vertex_set,
 )
-from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
+from pool import complex_of, convex_upto, fx, stacks_upto
 
 SMALL_FIXTURES = ("single_cell", "ex1", "ex3", "fig13", "figb", "fig9", "vertical")
 
@@ -86,23 +81,6 @@ def test_unequal_sides_never_match():
     assert v.violation.kind == "hall"
     assert (v.violation.subset.side, len(v.violation.subset)) == ("X", p.m)
     assert not brute_perfect_matching(p)
-
-
-def test_rook_number_against_the_brute_recursion():
-    for p in [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(9)):
-        assert rook_number(p) == brute_rook_number(p), sorted(p.cells)
-
-
-def test_rook_number_rejects_a_non_convex_shape():
-    with pytest.raises(NotConvex):
-        rook_number(fx("fig1_left"))
-
-
-def test_rook_number_on_a_wide_staircase_band():
-    # cells (i, i) and (i + 1, i): 1500 cell columns, each open for two rows
-    k = 1500
-    band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
-    assert rook_number(band) == k
 
 
 def test_hall_violator_is_violating():
@@ -194,10 +172,3 @@ def test_max_cuts_can_beat_the_box_bound():
     p = fx("figb")
     assert (p.m, p.n) == (5, 4)
     assert brute_max_disjoint_cuts(p) == 6 > max(p.m, p.n)
-
-
-def test_rook_number_is_the_regularity_of_every_small_stack():
-    stacks = stacks_upto(12)
-    assert len(stacks) == 1364
-    for p in stacks:
-        assert rook_number(p) == full_report(p).regularity, sorted(p.cells)

@@ -387,6 +387,35 @@ def test_purity_failure_exits_2(capsys):
     assert "internal invariant violation" in err
 
 
+BOX10 = "\n".join(["#" * 10] * 10)
+
+# (argv, exit code, class, message) of one failure per exit code and kind
+ERRORS = (
+    (("invariants", "--grid", "#.#"), 1, "DisconnectedCells", "cells are not edge-connected"),
+    (("facets", "--grid", BOX10), 1, "TooLarge",
+     "184756 facets exceed the budget MAX_FACETS = 50000"),
+    (("facets", path("fig1_left")), 2, "NotPure", "face sizes reach 11, expected d = 9"),
+)
+
+
+def test_json_errors_are_one_object_on_stdout(capsys):
+    for argv, code, cls, message in ERRORS:
+        rc, out, err = run(capsys, *argv, "--json")
+        assert (rc, err) == (code, ""), argv
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "error": {"class": cls, "message": message, "exit_code": code}
+        }, argv
+
+
+def test_plain_errors_are_one_line_on_stderr(capsys):
+    labels = {1: "error", 2: "internal invariant violation"}
+    for argv, code, _, message in ERRORS:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (code, ""), argv
+        assert err == f"{labels[code]}: {message}\n", argv
+
+
 def test_oracle_never_flips_an_exit_code(capsys):
     for cmd in COMMANDS:
         for name in names():

@@ -23,6 +23,7 @@ from polyrings.invariants import (
     multiplicity_rectangle,
     pk_polyomino,
     regularity_stack_exact,
+    rook_number,
 )
 from polyrings.polyomino import (
     Polyomino,
@@ -38,8 +39,15 @@ from polyrings.polyomino import (
 )
 from polyrings.srcomplex import build_complex, facets, hilbert_numerator
 from polyrings.toric import variable_order
-from oracles import delete_cell
-from pool import STACK_FIXTURES, complex_of, convex_upto, fx, stacks_upto
+from oracles import brute_rook_number, delete_cell
+from pool import (
+    CONVEX_FIXTURES,
+    STACK_FIXTURES,
+    complex_of,
+    convex_upto,
+    fx,
+    stacks_upto,
+)
 
 
 def test_closed_forms_on_fixtures():
@@ -520,3 +528,27 @@ def test_report_dict_shape():
     assert set(d["methods"]) == {
         "a_invariant", "regularity", "multiplicity", "h_vector", "gorenstein",
     }
+
+
+def test_rook_number_against_the_brute_recursion():
+    for p in [fx(n) for n in CONVEX_FIXTURES] + list(convex_upto(9)):
+        assert rook_number(p) == brute_rook_number(p), sorted(p.cells)
+
+
+def test_rook_number_rejects_a_non_convex_shape():
+    with pytest.raises(NotConvex):
+        rook_number(fx("fig1_left"))
+
+
+def test_rook_number_on_a_wide_staircase_band():
+    # cells (i, i) and (i + 1, i): 1500 cell columns, each open for two rows
+    k = 1500
+    band = Polyomino([(i, i) for i in range(1, k + 1)] + [(i + 1, i) for i in range(1, k)])
+    assert rook_number(band) == k
+
+
+def test_rook_number_is_the_regularity_of_every_small_stack():
+    stacks = stacks_upto(12)
+    assert len(stacks) == 1364
+    for p in stacks:
+        assert rook_number(p) == full_report(p).regularity, sorted(p.cells)
