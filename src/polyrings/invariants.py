@@ -31,11 +31,16 @@ decompose builds its P1 and P2 from the same step.
 full_report reads e = h(1), reg = deg h and a = deg h - d off one
 h-polynomial: this recursion's for a stack, which builds no complex,
 or the Hilbert numerator of the initial complex for a non-stack under
-a verified order. Every reported h is certified: it must be palindromic
-exactly when the interval criterion says K[P] is Gorenstein (Stanley's
-theorem, as K[P] is a Cohen-Macaulay domain for every convex P), and a
-stack's deg h must also equal the closed-form regularity below. A split
-raises ConsistencyError.
+a verified order. A stack image, a convex shape that a symmetry of the
+grid maps onto a stack (polyomino.stack_image), takes the recursion's h
+of that stack: the symmetry maps the vertices of P onto those of the
+stack and inner intervals onto inner intervals, so it induces a graded
+isomorphism of the two coordinate rings, and h, e, reg, a and the
+Gorenstein verdict are all invariant. Every reported h is certified: it
+must be palindromic exactly when the interval criterion says K[P] is
+Gorenstein (Stanley's theorem, as K[P] is a Cohen-Macaulay domain for
+every convex P), and the recursion's deg h must also equal the
+closed-form regularity below. A split raises ConsistencyError.
 
 The regularity of a stack is exact in closed form. Let P_j be the cells
 at or above cell row j and [m_j] x [n_j] the smallest interval holding
@@ -52,7 +57,7 @@ matching needs no augmenting paths (Glover, "Maximum matching in a
 convex bipartite graph", 1967) and a greedy sweep finds it. Then
 -a = d - r(P) on a stack is the paper's maximum number of disjoint
 directed cuts, whose 2^(m+n) sweep lives in the tests' oracles;
-invariants --oracle checks the identity on every stack.
+invariants --oracle checks the identity on every stack and stack image.
 
 The j = 1 term alone gives the bounding-box bounds a <= -max(m, n) and
 reg <= min(m, n) - 1. They are not always attained: a tall narrow
@@ -85,6 +90,7 @@ from .polyomino import (
     is_rectangle,
     is_stack,
     stack_from_profile,
+    stack_image,
 )
 from .srcomplex import build_complex, hilbert_numerator
 from .toric import VarOrder, _check_ranks
@@ -94,7 +100,7 @@ def a_invariant_stack_exact(p: Polyomino) -> int:
     """The a-invariant of a stack, regularity_stack_exact(p) - (m + n - 1)."""
     if not is_stack(p):
         raise NotStack("a-invariant formula needs a stack polyomino")
-    return _exact_regularity(p) - (p.m + p.n - 1)
+    return _exact_regularity(_profile(p)) - (p.m + p.n - 1)
 
 
 def regularity_stack_exact(p: Polyomino) -> int:
@@ -102,7 +108,7 @@ def regularity_stack_exact(p: Polyomino) -> int:
     w_j the number of cells in cell row j. See the module docstring."""
     if not is_stack(p):
         raise NotStack("regularity formula needs a stack polyomino")
-    return _exact_regularity(p)
+    return _exact_regularity(_profile(p))
 
 
 def rook_number(p: Polyomino) -> int:
@@ -135,12 +141,19 @@ def rook_number(p: Polyomino) -> int:
     return rooks
 
 
-def _exact_regularity(p: Polyomino) -> int:
-    """The closed-form regularity in one pass over the cells; p must be a stack."""
-    widths = [0] * p.n
-    for _, row in p.cells:
-        widths[row] += 1
-    return min(p.n - 1, min(j - 1 + w for j, w in enumerate(widths) if j))
+def _exact_regularity(hs: Profile) -> int:
+    """The closed-form regularity of the stack with profile hs: cell row
+    j holds w_j cells, one per column of height at least j, and the
+    stack spans n - 1 = max(hs) cell rows."""
+    rows = max(hs)
+    tops = [0] * (rows + 1)
+    for h in hs:
+        tops[h] += 1
+    reg, w = rows, 0
+    for j in range(rows, 0, -1):
+        w += tops[j]
+        reg = min(reg, j - 1 + w)
+    return reg
 
 
 class Decomposition(NamedTuple):
@@ -388,9 +401,10 @@ class InvariantReport:
 def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     """Every invariant this package can certify for p, with method tags.
 
-    The h-vector comes from the h-polynomial recursion for a stack
-    ("recursion"), at any size: no complex is built and no work budget
-    applies. A non-stack convex shape takes it from the complex
+    The h-vector comes from the h-polynomial recursion ("recursion") for
+    a stack, and for a stack image on the profile of its stack, with a
+    note naming the symmetry; at any size, no complex is built and no
+    work budget applies. Any other convex shape takes h from the complex
     ("complex") when a supplied order passes the Groebner check and the
     complex's f-vector stays within its work budget (srcomplex);
     otherwise all four values are "unavailable", and a budget that
@@ -399,27 +413,36 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     carry its tag.
 
     Runtime checks certify every reported h: it must be palindromic
-    exactly when the interval criterion calls K[P] Gorenstein, and on a
-    stack deg h must also equal the exact closed-form regularity. Either
-    split raises ConsistencyError. The bounding-box bounds are beaten on
-    some stacks (smallest: 5 cells, a base row of three cells with a
-    two-cell tower); such a gap is reported in notes, never raised.
+    exactly when the interval criterion calls K[P] Gorenstein, and the
+    recursion's deg h must also equal the exact closed-form regularity
+    of its stack. Either split raises ConsistencyError. The bounding-box
+    bounds are beaten on some stacks (smallest: 5 cells, a base row of
+    three cells with a two-cell tower); such a gap is reported in notes,
+    never raised.
 
     Every shape, at any size, gets the Gorenstein verdict from the
     polynomial interval scan of the convex criterion (tagged "interval
     criterion"). A supplied order must rank exactly the vertices of p
-    (BadParameters otherwise); a stack does not use it.
+    (BadParameters otherwise); a stack or a stack image does not use it.
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
-    if order is not None:
-        # also when the order goes unused
-        _check_ranks(p, order)
     d = p.m + p.n - 1
     notes: list[str] = []
     h, source = None, "unavailable"
+    image = None
     if is_stack(p):
-        h, source = h_vector_recursive(p), "recursion"
+        profile = _profile(p)
+    else:
+        image = stack_image(p)
+        profile = None if image is None else image.profile
+    if profile is not None:
+        if order is not None:
+            # the recursion does not use it; initial_ideal checks it otherwise
+            _check_ranks(p, order)
+        h, source = _h(profile), "recursion"
+        if image is not None:
+            notes.append(f"the recursion ran on the stack that the {image.symmetry} maps P onto")
     elif order is not None:
         try:
             h, source = hilbert_numerator(build_complex(p, order)), "complex"
@@ -432,7 +455,7 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
         reg, mult = len(h) - 1, sum(h)
         a = reg - d
     if source == "recursion":
-        exact_reg = _exact_regularity(p)
+        exact_reg = _exact_regularity(profile)
         if reg != exact_reg:
             raise ConsistencyError(
                 f"recursion gives regularity deg h = {reg}, closed form {exact_reg}"

@@ -6,8 +6,30 @@ minor at corners (i, j) < (k, l) is the binomial
     x_il * x_kj  -  x_ij * x_kl       (antidiagonal minus diagonal)
 
 and exists when every cell of [i..k-1] x [j..l-1] lies in P. The term
-order is reverse lexicographic for the descending variable ranking by
-(column height, column, level).
+order is reverse lexicographic for a descending variable ranking, and
+variable_order gives one of three, each with its certificate:
+
+- A stack's height order, descending (column height, column, level).
+  The paper proves the inner minors a Groebner basis under it, so
+  initial_ideal trusts it.
+- For a stack image, a convex shape that a symmetry of the grid maps
+  onto a stack (polyomino.stack_image), that stack's height order
+  pulled back through the symmetry. The symmetry maps the vertices of P
+  onto those of the stack and inner minors onto inner minors, so the
+  pulled-back minors are a Groebner basis as well, and initial_ideal
+  trusts this order as it trusts the stack's own.
+- For an NW parallelogram (cell-column bottoms and tops both weakly
+  falling), its lattice order: the vertices sorted ascending by
+  (i, -j), highest first. They form a planar distributive lattice,
+  componentwise on (-i, j), and K[P] is its Hibi ring (Hibi 1987;
+  Qureshi 2012, both cited from memory), so a linear extension should
+  orient the compatibility graph transitively. The citation is not
+  relied on: initial_ideal runs the Groebner check on this order, and
+  srcomplex._rank_poset checks transitivity at runtime.
+
+Every other shape gets the height key on its own column heights, an
+advisory order that initial_ideal checks, as it checks every order a
+caller supplies.
 
 Each layer costs about one operation per minor or per S-pair it reports:
 
@@ -44,8 +66,8 @@ Each layer costs about one operation per minor or per S-pair it reports:
   leading terms that hold each variable, known before the first
   reduction. Past MAX_SPAIRS the check raises TooLarge naming it. An
   S-pair costs about 1 us (Python 3.11, one core of a 2-core VM), so
-  the budget is about 2 s of work. A stack's own height order needs no
-  check and meets no budget.
+  the budget is about 2 s of work. A stack's own height order, and a
+  stack image's pulled-back one, need no check and meet no budget.
 
 An order must rank exactly the vertices of P; initial_ideal and
 verify_groebner raise BadParameters otherwise.
@@ -56,7 +78,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadParameters, ConsistencyError, GroebnerUnverified, TooLarge
-from .polyomino import Polyomino, heights, is_stack
+from .polyomino import Polyomino, heights, is_nw_parallelogram, is_stack, stack_image
 
 Variable = tuple[int, int]
 # two rank positions under a VarOrder, ascending: a squarefree quadratic
@@ -80,10 +102,11 @@ def mono_str(mono: Iterable[Variable]) -> str:
 class VarOrder:
     """A descending variable ranking inducing a revlex term order.
 
-    advisory is set when variable_order ranked a non-stack polyomino,
-    whose inner minors need not be a Groebner basis under it. The flag is
-    only reported (the CLI prints it) and gates nothing: initial_ideal
-    checks every order but a stack's default one.
+    advisory is set when variable_order gave an order that is not taken
+    on trust: an NW parallelogram's lattice order, or the height order
+    of a shape that is neither a stack nor a stack image. initial_ideal
+    trusts the default order of p exactly when it is not advisory, and
+    checks every supplied order.
     """
 
     def __init__(self, ranked: Sequence[Variable], advisory: bool = False):
@@ -102,15 +125,33 @@ class VarOrder:
 
 
 def variable_order(p: Polyomino) -> VarOrder:
-    """Ranking by descending (column height, column, level).
+    """The default ranking of p: one of the three orders of the module
+    docstring, or the advisory height order.
 
-    Meaningful for convex polyominoes; for stacks the induced revlex
-    order makes the inner minors a Groebner basis, for other convex
-    shapes the order is advisory and must be verified.
+    A stack ranks by descending (column height, column, level). A stack
+    image ranks each vertex by that key of its image under the symmetry.
+    A non-stack NW parallelogram ranks by ascending (i, -j), advisory.
+    Any other shape ranks by the stack's key on its own column heights,
+    advisory; it is meaningful for convex polyominoes.
     """
+    stack = is_stack(p)
+    image = None if stack else stack_image(p)
+    if image is not None:
+        # the stack's vertex column heights, from its profile
+        ext = (0, *image.profile, 0)
+        hs = [max(pair) + 1 for pair in zip(ext, ext[1:])]
+        to_stack = image.vertex
+
+        def key(v):
+            i, j = to_stack(v)
+            return -hs[i - 1], -i, -j
+
+        return VarOrder(sorted(p.vertices, key=key))
+    if not stack and is_nw_parallelogram(p):
+        return VarOrder(sorted(p.vertices, key=lambda v: (v[0], -v[1])), advisory=True)
     hs = heights(p)
     ranked = sorted(p.vertices, key=lambda v: (-hs[v[0] - 1], -v[0], -v[1]))
-    return VarOrder(ranked, advisory=not is_stack(p))
+    return VarOrder(ranked, advisory=not stack)
 
 
 class InnerMinor(NamedTuple):
@@ -282,12 +323,17 @@ class InitialIdeal:
 def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     """Leading terms of the inner minors, one per minor.
 
-    For a stack with its default height order this is the initial ideal
-    outright. Every other order, supplied by the caller or the default
-    one of a non-stack, is first run through the Groebner check.
+    Under the default order of a stack or a stack image (variable_order
+    marks neither advisory) this is the initial ideal outright. Every
+    other order, supplied by the caller or an advisory default, is first
+    run through the Groebner check.
     """
-    trusted = order is None and is_stack(p)
-    order = variable_order(p) if order is None else _check_ranks(p, order)
+    if order is None:
+        order = variable_order(p)
+        trusted = not order.advisory
+    else:
+        trusted = False
+        _check_ranks(p, order)
     leads, trails = _rank_terms(p, order)
     if not trusted and not _is_groebner(leads, trails, len(order.ranked)):
         raise GroebnerUnverified(

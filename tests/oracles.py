@@ -85,6 +85,54 @@ def brute_heights(p):
     return [max(r for c, r in vs if c == i) for i in range(1, m + 1)]
 
 
+def height_ranking(p):
+    """The vertices by descending (column height, column, level), highest
+    first: the default ranking of every convex shape before stack images
+    and parallelograms got their own."""
+    hs = brute_heights(p)
+    return sorted(vertex_set(p), key=lambda v: (-hs[v[0] - 1], -v[0], -v[1]))
+
+
+def lattice_ranking(p):
+    """The vertices by ascending (i, -j), highest first: a linear
+    extension of the lattice order on (-i, j) of an NW parallelogram."""
+    return sorted(vertex_set(p), key=lambda v: (v[0], -v[1]))
+
+
+def brute_nw_parallelogram(p):
+    """Convex, and for every two cell columns c < c', the bottom and the
+    top of c lie weakly above those of c'."""
+    cols = {}
+    for c, r in p.cells:
+        cols.setdefault(c, []).append(r)
+    return brute_convex(p) and all(
+        min(cols[a]) >= min(cols[b]) and max(cols[a]) >= max(cols[b])
+        for a in cols
+        for b in cols
+        if a < b
+    )
+
+
+# the 8 symmetries of the grid, on cells
+_SYMMETRIES = (
+    lambda c, r: (c, r), lambda c, r: (-c, r), lambda c, r: (c, -r), lambda c, r: (-c, -r),
+    lambda c, r: (r, c), lambda c, r: (-r, c), lambda c, r: (r, -c), lambda c, r: (-r, -c),
+)
+
+
+def brute_stack_images(p):
+    """The profiles (cell column heights, left to right) of the images of
+    a convex p under the 8 symmetries of the grid that have a full bottom
+    row, each image normalized."""
+    out = set()
+    for f in _SYMMETRIES:
+        cells = _normalize(frozenset(f(c, r) for c, r in p.cells))
+        width = max(c for c, _ in cells)
+        if all((c, 1) in cells for c in range(1, width + 1)):
+            out.add(tuple(sum(1 for x, _ in cells if x == c) for c in range(1, width + 1)))
+    return out
+
+
 def neigh_y(vs, t):
     """Row levels adjacent to the column set t in the vertex graph whose
     edges are the vertices vs."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrings import cli, fixtures, invariants, srcomplex
+from polyrings import cli, fixtures, invariants, srcomplex, toric
 from polyrings.cli import main
 from polyrings.errors import ConsistencyError, TooLarge
 from polyrings.fixtures import fixture_path, names
@@ -265,7 +265,8 @@ def test_gorenstein_oracle_checks_stacks_up_to_the_guard(capsys, monkeypatch):
 def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypatch):
     # a 45-vertex stack whose transpose is not a stack: past the old
     # guard of 40, the transpose's multiplicity comes from its complex,
-    # which full_report builds
+    # built by the cli under a supplied order, not from the recursion
+    # that full_report would run on the same profile
     grid = ".##" + "." * 17 + "\\n" + "#" * 20
     seen = []
     real = srcomplex.hilbert_numerator
@@ -279,10 +280,32 @@ def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypat
     rc, out, err = run(capsys, "invariants", "--grid", grid, "--oracle")
     assert (rc, err) == (0, "")
     assert sorted(seen) == [(45, False), (45, True)]
-    # the transpose's fallback DP needs 70 memo entries; a budget of 69
-    # skips that cross-check and changes no output
-    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 69)
+    # the supplied order runs the Groebner check, 2,729 S-pairs on the
+    # transpose; a budget of 2,728 skips that cross-check and changes no
+    # output, while the stack's own order meets no budget
+    seen.clear()
+    monkeypatch.setattr(toric, "MAX_SPAIRS", 2728)
     assert run(capsys, "invariants", "--grid", grid, "--oracle") == (0, out, "")
+    assert seen == [(45, True)]
+
+
+def test_a_stack_image_gets_the_recursion_and_a_trusted_order(capsys, monkeypatch):
+    # fig14's transpose: full_report's recursion, held by --oracle to the
+    # complex, the transpose (fig14 itself) and the rook number; its
+    # default order is not advisory, and --oracle runs the Groebner check
+    grid = "#..\\n###\\n###\\n##.\\n#.."
+    rc, out, err = run(capsys, "invariants", "--grid", grid, "--oracle", "--json")
+    assert (rc, err) == (0, "")
+    got = json.loads(out)
+    assert got["multiplicity"] == invariants.full_report(fixtures.load("fig14")).multiplicity
+    assert got["methods"]["h_vector"] == "recursion"
+    assert got["notes"][0] == "the recursion ran on the stack that the transpose maps P onto"
+    rc, out, err = run(capsys, "groebner", "--grid", grid, "--oracle", "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["advisory"] is False and json.loads(out)["verified"] is True
+    monkeypatch.setattr(cli, "hilbert_numerator", lambda c: (1, 1))
+    rc, _, err = run(capsys, "invariants", "--grid", grid, "--oracle")
+    assert rc == 2 and "vs complex" in err
 
 
 def test_invariants_oracle_checks_the_rook_number(capsys, monkeypatch):

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
-from polyrings import invariants, srcomplex
+from polyrings import invariants, srcomplex, toric
 from polyrings.errors import (
     BadParameters,
     ConsistencyError,
+    GroebnerUnverified,
     IsRectangle,
     NotConvex,
+    NotPure,
     NotStack,
 )
 from polyrings.gorenstein import GorensteinVerdict
@@ -27,6 +30,7 @@ from polyrings.invariants import (
 )
 from polyrings.polyomino import (
     Polyomino,
+    StackImage,
     cells_at_or_above,
     distinguished_vertex,
     heights,
@@ -35,11 +39,12 @@ from polyrings.polyomino import (
     mirror,
     parse,
     stack_from_profile,
+    stack_image,
     transpose,
 )
 from polyrings.srcomplex import build_complex, facets, hilbert_numerator
 from polyrings.toric import variable_order
-from oracles import brute_rook_number, delete_cell
+from oracles import brute_rook_number, brute_stack_images, delete_cell
 from pool import (
     CONVEX_FIXTURES,
     STACK_FIXTURES,
@@ -408,27 +413,114 @@ def test_full_report_certifies_every_stack_up_to_13_cells():
 
 
 def test_full_report_certifies_every_non_stack_up_to_8_cells():
-    # under the advisory order every h comes off the complex, and the
-    # palindromicity certificate runs on each
+    # under variable_order every h comes off the recursion for a stack
+    # image and off the complex otherwise, and the palindromicity
+    # certificate runs on each
     shapes = [p for p in convex_upto(8) if not is_stack(p)]
     assert len(shapes) == 1956
+    sources = Counter()
     for p in shapes:
         r = full_report(p, variable_order(p))
-        assert r.methods["h_vector"] == "complex"
+        sources[r.methods["h_vector"]] += 1
         assert r.gorenstein == (r.h_vector == r.h_vector[::-1])
+    assert sources == {"recursion": 305, "complex": 1651}
+
+
+def image_problems(shapes):
+    """The shapes whose default report takes the recursion and differs
+    from the complex under the default order, or whose default order
+    then fails the Groebner check or orients the compatibility graph
+    intransitively."""
+    bad = []
+    for p in shapes:
+        try:
+            r = full_report(p)
+            if r.methods["h_vector"] != "recursion":
+                continue
+            # a supplied order: the Groebner check runs
+            c = build_complex(p, variable_order(p))
+            if r.h_vector != hilbert_numerator(c) or srcomplex._rank_poset(c) is None:
+                bad.append(p)
+        except (ConsistencyError, GroebnerUnverified, NotPure):
+            bad.append(p)
+    return bad
+
+
+def test_stack_images_take_the_recursion_up_to_9_cells():
+    # stack_image finds exactly the non-stacks that one of the 8 grid
+    # symmetries maps onto a stack, with one of the images' profiles;
+    # their default order is trusted, and it passes the checks
+    shapes = [p for p in convex_upto(9) if not is_stack(p)]
+    images = 0
+    for p in shapes:
+        image, profiles = stack_image(p), brute_stack_images(p)
+        assert (image is not None) == bool(profiles), sorted(p.cells)
+        if image is not None:
+            images += 1
+            assert image.profile in profiles, sorted(p.cells)
+            assert not variable_order(p).advisory
+            assert full_report(p).methods["h_vector"] == "recursion"
+    assert images == 578
+    assert image_problems(shapes) == []
+
+
+def test_a_wrong_symmetry_fails_the_image_sweep(monkeypatch):
+    # full_report reads the symmetry's profile, variable_order its
+    # vertex map
+    shapes = [p for p in convex_upto(7) if not is_stack(p)]
+
+    def any_full_row_as_the_top(p):
+        # a full row anywhere, read as a full top row when the column
+        # heights rise and then fall, as a stack's do
+        image = stack_image(p)
+        rows = Counter(r for _, r in p.cells)
+        if image is not None or p.m - 1 not in rows.values():
+            return image
+        cols = Counter(c for c, _ in p.cells)
+        hs = [cols[c] for c in range(1, p.m)]
+        peak = hs.index(max(hs))
+        if hs[: peak + 1] != sorted(hs[: peak + 1]) or hs[peak:] != sorted(hs[peak:])[::-1]:
+            return None
+        return StackImage("vertical flip", tuple(hs), p.m, p.n)
+
+    def transpose_without_the_flip(p):
+        image = stack_image(p)
+        if image is None or image.symmetry != "transpose of the mirror image":
+            return image
+        return image._replace(symmetry="transpose")
+
+    assert image_problems(shapes) == []
+    for module, wrong in (
+        (invariants, any_full_row_as_the_top),
+        (toric, transpose_without_the_flip),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(module, "stack_image", wrong)
+            assert image_problems(shapes), wrong.__name__
 
 
 def test_full_report_certificates_can_fail(monkeypatch):
+    # both certificates run on a stack image: the transpose of fig14, and
+    # that of ex3, a Gorenstein stack with h = (1, 6, 6, 1)
     p = fx("fig14")
-    with monkeypatch.context() as mp:
-        mp.setattr(invariants, "_exact_regularity", lambda q: 2)
-        with pytest.raises(ConsistencyError, match="closed form"):
-            full_report(p)
+    image, gorenstein_image = transpose(p), transpose(fx("ex3"))
+    assert not is_stack(image) and stack_image(image).symmetry == "transpose"
+    assert not is_stack(gorenstein_image) and stack_image(gorenstein_image) is not None
+    for shape in (p, image):
+        with monkeypatch.context() as mp:
+            mp.setattr(invariants, "_exact_regularity", lambda q: 2)
+            with pytest.raises(ConsistencyError, match="closed form"):
+                full_report(shape)
     # the palindromicity certificate covers the complex's h as well:
     # fig9 is a Gorenstein non-stack, with h = (1, 6, 6, 1) off the complex
     q = fx("fig9")
-    assert not is_stack(q)
-    for shape, order, forced in ((p, None, True), (q, variable_order(q), False)):
+    assert not is_stack(q) and stack_image(q) is None
+    for shape, order, forced in (
+        (p, None, True),
+        (image, None, True),
+        (gorenstein_image, variable_order(gorenstein_image), False),
+        (q, variable_order(q), False),
+    ):
         with monkeypatch.context() as mp:
             mp.setattr(invariants, "is_gorenstein_convex", lambda _: GorensteinVerdict(
                 forced, None, (), "forced"

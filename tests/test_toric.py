@@ -1,10 +1,18 @@
 import pytest
 
-from polyrings import toric
+from polyrings import invariants, toric
 from polyrings.errors import BadParameters, GroebnerUnverified, TooLarge
 from polyrings.invariants import full_report
-from polyrings.polyomino import Polyomino, heights, parse, transpose
-from polyrings.srcomplex import build_complex
+from polyrings.polyomino import (
+    Polyomino,
+    heights,
+    is_nw_parallelogram,
+    is_stack,
+    parse,
+    stack_image,
+    transpose,
+)
+from polyrings.srcomplex import _rank_poset, build_complex, hilbert_numerator
 from polyrings.toric import (
     VarOrder,
     initial_ideal,
@@ -18,8 +26,11 @@ from polyrings.toric import (
 from oracles import (
     brute_inner_minor_corners,
     brute_maximal_independent_sets,
+    brute_nw_parallelogram,
     brute_verify_groebner,
     generic_revlex_less,
+    height_ranking,
+    lattice_ranking,
 )
 from pool import CONVEX_FIXTURES, convex_upto, fixed_upto, fx, shuffled_orders, stacks_upto
 
@@ -227,6 +238,30 @@ def test_unflagged_bad_order_on_a_stack_gates_the_complex():
         build_complex(p, order)
 
 
+def test_nw_parallelograms_take_their_lattice_order_up_to_9_cells():
+    # every NW parallelogram with at most 9 cells, stacks and stack
+    # images included: the lattice order passes the Groebner check and
+    # orients the compatibility graph transitively, and its h equals the
+    # height ranking's; it is the default order of the others
+    lattices = defaults = 0
+    for p in convex_upto(9):
+        assert is_nw_parallelogram(p) == brute_nw_parallelogram(p), sorted(p.cells)
+        if not is_nw_parallelogram(p):
+            continue
+        lattices += 1
+        lattice = VarOrder(lattice_ranking(p))
+        assert verify_groebner(p, lattice), sorted(p.cells)
+        c = build_complex(p, lattice)
+        assert _rank_poset(c) is not None, sorted(p.cells)
+        height = build_complex(p, VarOrder(height_ranking(p)))
+        assert hilbert_numerator(c) == hilbert_numerator(height), sorted(p.cells)
+        if not is_stack(p) and stack_image(p) is None:
+            defaults += 1
+            assert variable_order(p).ranked == lattice.ranked
+            assert variable_order(p).advisory
+    assert (lattices, defaults) == (986, 817)
+
+
 def test_advisory_ideal_passes_after_verification():
     ii = initial_ideal(fx("fig9"))
     assert len(ii.generators) == len(inner_minors(fx("fig9"))) == 15
@@ -358,6 +393,27 @@ def test_order_missing_a_vertex_is_rejected():
     assert len(big.vertices) > 40
     with pytest.raises(BadParameters):
         full_report(big, order=VarOrder(variable_order(big).ranked[:-1]))
+
+
+def test_a_supplied_order_is_checked_once(monkeypatch):
+    # by full_report on the recursion's shapes, which never reach
+    # initial_ideal, and by initial_ideal on the complex's
+    calls = []
+    real = toric._check_ranks
+
+    def spy(p, order):
+        calls.append(p)
+        return real(p, order)
+
+    monkeypatch.setattr(toric, "_check_ranks", spy)
+    monkeypatch.setattr(invariants, "_check_ranks", spy)
+    for grid, source in (("##\n##", "recursion"), ("#.\n##\n#.", "recursion"), ("##.\n.##", "complex")):
+        p = parse(grid)
+        calls.clear()
+        assert full_report(p, variable_order(p)).methods["h_vector"] == source
+        assert calls == [p], grid
+        with pytest.raises(BadParameters):
+            full_report(p, VarOrder(variable_order(p).ranked[:-1]))
 
 
 def test_order_ranking_a_non_vertex_is_rejected():
