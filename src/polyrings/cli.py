@@ -158,7 +158,7 @@ def cmd_invariants(p: Polyomino, args) -> int:
     rep = full_report(p)
     if args.oracle and rep.methods["h_vector"] == "recursion":
         # the recursion's h against the complex, which full_report does
-        # not build for a stack or a stack image
+        # not build for a Ferrers shape, a stack or not
         h = _budgeted(hilbert_numerator, build_complex(p))
         if h is not None and h != rep.h_vector:
             raise ConsistencyError(f"recursion h-vector {rep.h_vector} vs complex {h}")
@@ -216,10 +216,9 @@ def cmd_facets(p: Polyomino, args) -> int:
                 raise ConsistencyError(f"facet contains a forbidden pair: {sorted(f)}")
             if any(forbidden_with[v].isdisjoint(f) for v in c.vertices if v not in f):
                 raise ConsistencyError(f"facet is not maximal: {sorted(f)}")
-        if is_stack(p) and multiplicity_recursive(p) != len(fs):
-            raise ConsistencyError(
-                f"facet count {len(fs)} vs recursion {multiplicity_recursive(p)}"
-            )
+        rep = full_report(p) if is_convex(p) else None
+        if rep and rep.methods["multiplicity"] == "recursion" and rep.multiplicity != len(fs):
+            raise ConsistencyError(f"facet count {len(fs)} vs recursion {rep.multiplicity}")
     if args.json:
         _emit_json(
             {

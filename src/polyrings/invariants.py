@@ -28,19 +28,32 @@ h-vector. The memo is cleared on entry to a call once it holds more
 than _MEMO_MAX_ENTRIES profiles. A Polyomino is read once on entry;
 decompose builds its P1 and P2 from the same step.
 
+Ferrers shapes. For a convex P, K[P] is the edge ring of the
+bipartite graph G_P of P's vertex columns against its levels, one edge
+per vertex (Qureshi 2012, cited from memory). Relabelling the columns
+and the levels maps the edges of G_P onto those of the relabelled
+graph, and so is a graded isomorphism of the two rings. When the level
+sets of the vertex columns are nested (polyomino.ferrers), G_P is a
+Ferrers graph, which its column degrees fix up to relabelling: it is
+the graph of the stack whose profile lam lists the level-set sizes less
+one, descending, without the first. So K[P] is isomorphic to the ring
+of that stack, and h, e, reg, a and the Gorenstein verdict are those of
+the stack. Every stack is a Ferrers shape, and so is its image under
+each symmetry of the grid. In particular a stack and the stack of its
+sorted profile share lam, so _h(hs) == _h(sorted(hs, reverse=True)).
+The memo still keeps the two profiles apart: a stack's h is computed
+on its own profile, so that the mirror image takes another path
+through the recursion and decompose --oracle checks one against the
+other.
+
 full_report reads e = h(1), reg = deg h and a = deg h - d off one
-h-polynomial: this recursion's for a stack, which builds no complex,
-or the Hilbert numerator of the initial complex for a non-stack under
-a verified order. A stack image, a convex shape that a symmetry of the
-grid maps onto a stack (polyomino.stack_image), takes the recursion's h
-of that stack: the symmetry maps the vertices of P onto those of the
-stack and inner intervals onto inner intervals, so it induces a graded
-isomorphism of the two coordinate rings, and h, e, reg, a and the
-Gorenstein verdict are all invariant. Every reported h is certified: it
-must be palindromic exactly when the interval criterion says K[P] is
-Gorenstein (Stanley's theorem, as K[P] is a Cohen-Macaulay domain for
-every convex P), and the recursion's deg h must also equal the
-closed-form regularity below. A split raises ConsistencyError.
+h-polynomial: this recursion's for a Ferrers shape, which builds no
+complex, or the Hilbert numerator of the initial complex under a
+verified order. Every reported h is certified: it must be palindromic
+exactly when the interval criterion says K[P] is Gorenstein (Stanley's
+theorem, as K[P] is a Cohen-Macaulay domain for every convex P), and
+the recursion's deg h must also equal the closed-form regularity below.
+A split raises ConsistencyError.
 
 The regularity of a stack is exact in closed form. Let P_j be the cells
 at or above cell row j and [m_j] x [n_j] the smallest interval holding
@@ -57,7 +70,7 @@ matching needs no augmenting paths (Glover, "Maximum matching in a
 convex bipartite graph", 1967) and a greedy sweep finds it. Then
 -a = d - r(P) on a stack is the paper's maximum number of disjoint
 directed cuts, whose 2^(m+n) sweep lives in the tests' oracles;
-invariants --oracle checks the identity on every stack and stack image.
+invariants --oracle checks the identity on every Ferrers shape.
 
 The j = 1 term alone gives the bounding-box bounds a <= -max(m, n) and
 reg <= min(m, n) - 1. They are not always attained: a tall narrow
@@ -86,11 +99,11 @@ from .gorenstein import is_gorenstein_convex
 from .polyomino import (
     Polyomino,
     distinguished_vertex,
+    ferrers,
     is_convex,
     is_rectangle,
     is_stack,
     stack_from_profile,
-    stack_image,
 )
 from .srcomplex import build_complex, hilbert_numerator
 from .toric import VarOrder, _check_ranks
@@ -402,15 +415,15 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     """Every invariant this package can certify for p, with method tags.
 
     The h-vector comes from the h-polynomial recursion ("recursion") for
-    a stack, and for a stack image on the profile of its stack, with a
-    note naming the symmetry; at any size, no complex is built and no
-    work budget applies. Any other convex shape takes h from the complex
-    ("complex") when a supplied order passes the Groebner check and the
-    complex's f-vector stays within its work budget (srcomplex);
-    otherwise all four values are "unavailable", and a budget that
-    stopped the f-vector is named in notes. The regularity deg h, the
-    a-invariant deg h - d and the multiplicity h(1) are read off h and
-    carry its tag.
+    a stack, on its own profile, and for any other Ferrers shape on its
+    lam (polyomino.ferrers), with a note naming lam; at any size, no
+    complex is built and no work budget applies. Any other convex shape
+    takes h from the complex ("complex") when a supplied order passes
+    the Groebner check and the complex's f-vector stays within its work
+    budget (srcomplex); otherwise all four values are "unavailable", and
+    a budget that stopped the f-vector is named in notes. The regularity
+    deg h, the a-invariant deg h - d and the multiplicity h(1) are read
+    off h and carry its tag.
 
     Runtime checks certify every reported h: it must be palindromic
     exactly when the interval criterion calls K[P] Gorenstein, and the
@@ -423,26 +436,27 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
     Every shape, at any size, gets the Gorenstein verdict from the
     polynomial interval scan of the convex criterion (tagged "interval
     criterion"). A supplied order must rank exactly the vertices of p
-    (BadParameters otherwise); a stack or a stack image does not use it.
+    (BadParameters otherwise); a Ferrers shape does not use it.
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
     d = p.m + p.n - 1
     notes: list[str] = []
     h, source = None, "unavailable"
-    image = None
     if is_stack(p):
         profile = _profile(p)
     else:
-        image = stack_image(p)
-        profile = None if image is None else image.profile
+        shape = ferrers(p)
+        profile = None if shape is None else shape[0]
+        if profile is not None:
+            notes.append(
+                f"P is a Ferrers shape: the recursion ran on the stack with profile {profile}"
+            )
     if profile is not None:
         if order is not None:
             # the recursion does not use it; initial_ideal checks it otherwise
             _check_ranks(p, order)
         h, source = _h(profile), "recursion"
-        if image is not None:
-            notes.append(f"the recursion ran on the stack that the {image.symmetry} maps P onto")
     elif order is not None:
         try:
             h, source = hilbert_numerator(build_complex(p, order)), "complex"

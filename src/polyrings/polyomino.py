@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     DisconnectedCells,
@@ -219,58 +219,17 @@ def is_stack(p: Polyomino) -> bool:
     return is_convex(p) and all((c, 1) in p.cells for c in range(1, p.m))
 
 
-# the symmetries that take a full top row, left column or right column
-# of a polyomino on the vertex box [m] x [n] to the bottom row, on vertices
-_TO_BOTTOM = {
-    "vertical flip": lambda i, j, m, n: (i, n + 1 - j),
-    "transpose": lambda i, j, m, n: (j, i),
-    "transpose of the mirror image": lambda i, j, m, n: (j, m + 1 - i),
-}
-
-
-class StackImage(NamedTuple):
-    """A stack that a symmetry of the grid maps a polyomino on the vertex
-    box [m] x [n] onto: the symmetry's name, the stack's profile (its
-    cell column heights, left to right), and the box."""
-
-    symmetry: str
-    profile: tuple[int, ...]
-    m: int
-    n: int
-
-    def vertex(self, v: Vertex) -> Vertex:
-        """The vertex of the stack that the symmetry maps v onto."""
-        return _TO_BOTTOM[self.symmetry](*v, self.m, self.n)
-
-
-def stack_image(p: Polyomino) -> StackImage | None:
-    """The stack that a symmetry of the grid maps a convex p onto, when p
-    has a full top row, left column or right column; None when it has
-    none of them or is not convex. A full bottom row needs no symmetry:
-    callers ask is_stack first.
-
-    The vertical flip (rows reversed) takes a full top row to the
-    bottom, and the stack's profile is p's cell column heights. The
-    transpose takes a full left column to the bottom row, and the
-    transpose of the mirror image a full right column; both profiles are
-    p's cell row widths, bottom row first. Columns and rows are
-    intervals in a convex p, so the counts are the heights and widths.
-    """
-    if not is_convex(p):
-        return None
-    m, n = p.m, p.n
-    cols = [0] * m
-    rows = [0] * n
+def _cell_column_bounds(p: Polyomino) -> tuple[list[int], list[int]]:
+    """The lowest and highest row of each cell column c, at index c, in
+    one pass over the cells; columns 0 and m read n and 0."""
+    lo = [p.n] * (p.m + 1)
+    hi = [0] * (p.m + 1)
     for c, r in p.cells:
-        cols[c] += 1
-        rows[r] += 1
-    if rows[-1] == m - 1:
-        return StackImage("vertical flip", tuple(cols[1:]), m, n)
-    if cols[1] == n - 1:
-        return StackImage("transpose", tuple(rows[1:]), m, n)
-    if cols[-1] == n - 1:
-        return StackImage("transpose of the mirror image", tuple(rows[1:]), m, n)
-    return None
+        if r < lo[c]:
+            lo[c] = r
+        if r > hi[c]:
+            hi[c] = r
+    return lo, hi
 
 
 def is_nw_parallelogram(p: Polyomino) -> bool:
@@ -278,14 +237,34 @@ def is_nw_parallelogram(p: Polyomino) -> bool:
     weakly falling from left to right."""
     if not is_convex(p):
         return False
-    lo = [p.n] * p.m
-    hi = [0] * p.m
-    for c, r in p.cells:
-        if r < lo[c]:
-            lo[c] = r
-        if r > hi[c]:
-            hi[c] = r
+    lo, hi = _cell_column_bounds(p)
     return all(lo[c] >= lo[c + 1] and hi[c] >= hi[c + 1] for c in range(1, p.m - 1))
+
+
+Span = tuple[int, int]
+
+
+def ferrers(p: Polyomino) -> tuple[tuple[int, ...], tuple[Span, ...]] | None:
+    """(lam, spans) when the level spans of p's vertex columns are
+    nested, None when they are not or p is not convex.
+
+    Vertex column x holds the levels [b, t] of spans[x - 1]: b is the
+    lower of the bottom rows of cell columns x - 1 and x, and t one more
+    than the higher of their top rows. Sorted by (b ascending, t
+    descending), the spans are nested exactly when the tops then weakly
+    fall. lam lists the sizes t - b in descending order without the
+    first: the longest span is shared by two adjacent vertex columns,
+    so the two largest sizes are equal, and lam is the profile of the
+    stack whose vertex columns have these sizes.
+    """
+    if not is_convex(p):
+        return None
+    lo, hi = _cell_column_bounds(p)
+    spans = tuple((min(lo[x - 1], lo[x]), max(hi[x - 1], hi[x]) + 1) for x in range(1, p.m + 1))
+    tops = [t for _, t in sorted(spans, key=lambda s: (s[0], -s[1]))]
+    if any(a < b for a, b in zip(tops, tops[1:])):
+        return None
+    return tuple(sorted((t - b for b, t in spans), reverse=True)[1:]), spans
 
 
 def stack_from_profile(hs: Iterable[int]) -> Polyomino:

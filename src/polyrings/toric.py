@@ -7,17 +7,22 @@ minor at corners (i, j) < (k, l) is the binomial
 
 and exists when every cell of [i..k-1] x [j..l-1] lies in P. The term
 order is reverse lexicographic for a descending variable ranking, and
-variable_order gives one of three, each with its certificate:
+variable_order gives one of two, each with its certificate:
 
-- A stack's height order, descending (column height, column, level).
-  The paper proves the inner minors a Groebner basis under it, so
-  initial_ideal trusts it.
-- For a stack image, a convex shape that a symmetry of the grid maps
-  onto a stack (polyomino.stack_image), that stack's height order
-  pulled back through the symmetry. The symmetry maps the vertices of P
-  onto those of the stack and inner minors onto inner minors, so the
-  pulled-back minors are a Groebner basis as well, and initial_ideal
-  trusts this order as it trusts the stack's own.
+- A Ferrers shape's height order (polyomino.ferrers): a vertex (x, y)
+  ranks by ascending (-size_x, -x, deg_y, -y), where size_x is the size
+  t - b of the level span [b, t] of vertex column x and deg_y the
+  number of spans holding level y. On a stack this is descending
+  (column height, column, level), under which the paper proves the
+  inner minors a Groebner basis. On any other Ferrers shape it is that
+  order on the stack with the same lam, pulled back through the
+  relabelling of columns and levels that maps the vertices of P onto
+  the stack's (see the invariants docstring): columns of one size hold
+  one span, and levels of one degree lie in the same spans, so ties may
+  break either way. The relabelling maps the 4-cycles of the bipartite
+  graph onto 4-cycles, and for a convex shape these are exactly the
+  inner minors, so the minors stay a Groebner basis. initial_ideal
+  trusts this order.
 - For an NW parallelogram (cell-column bottoms and tops both weakly
   falling), its lattice order: the vertices sorted ascending by
   (i, -j), highest first. They form a planar distributive lattice,
@@ -66,8 +71,8 @@ Each layer costs about one operation per minor or per S-pair it reports:
   leading terms that hold each variable, known before the first
   reduction. Past MAX_SPAIRS the check raises TooLarge naming it. An
   S-pair costs about 1 us (Python 3.11, one core of a 2-core VM), so
-  the budget is about 2 s of work. A stack's own height order, and a
-  stack image's pulled-back one, need no check and meet no budget.
+  the budget is about 2 s of work. A Ferrers shape's height order needs
+  no check and meets no budget.
 
 An order must rank exactly the vertices of P; initial_ideal and
 verify_groebner raise BadParameters otherwise.
@@ -78,7 +83,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadParameters, ConsistencyError, GroebnerUnverified, TooLarge
-from .polyomino import Polyomino, heights, is_nw_parallelogram, is_stack, stack_image
+from .polyomino import Polyomino, ferrers, heights, is_nw_parallelogram
 
 Variable = tuple[int, int]
 # two rank positions under a VarOrder, ascending: a squarefree quadratic
@@ -104,7 +109,7 @@ class VarOrder:
 
     advisory is set when variable_order gave an order that is not taken
     on trust: an NW parallelogram's lattice order, or the height order
-    of a shape that is neither a stack nor a stack image. initial_ideal
+    of a shape that is no Ferrers shape. initial_ideal
     trusts the default order of p exactly when it is not advisory, and
     checks every supplied order.
     """
@@ -125,33 +130,30 @@ class VarOrder:
 
 
 def variable_order(p: Polyomino) -> VarOrder:
-    """The default ranking of p: one of the three orders of the module
+    """The default ranking of p: one of the two orders of the module
     docstring, or the advisory height order.
 
-    A stack ranks by descending (column height, column, level). A stack
-    image ranks each vertex by that key of its image under the symmetry.
-    A non-stack NW parallelogram ranks by ascending (i, -j), advisory.
-    Any other shape ranks by the stack's key on its own column heights,
-    advisory; it is meaningful for convex polyominoes.
+    A Ferrers shape, every stack included, ranks a vertex (x, y) by
+    ascending (-size_x, -x, deg_y, -y): size_x is the size t - b of the
+    span of vertex column x, and deg_y the number of spans holding
+    level y. A non-Ferrers NW parallelogram ranks by ascending (i, -j),
+    advisory. Any other shape ranks by the stack's key on its own column
+    heights, advisory; it is meaningful for convex polyominoes.
     """
-    stack = is_stack(p)
-    image = None if stack else stack_image(p)
-    if image is not None:
-        # the stack's vertex column heights, from its profile
-        ext = (0, *image.profile, 0)
-        hs = [max(pair) + 1 for pair in zip(ext, ext[1:])]
-        to_stack = image.vertex
-
-        def key(v):
-            i, j = to_stack(v)
-            return -hs[i - 1], -i, -j
-
-        return VarOrder(sorted(p.vertices, key=key))
-    if not stack and is_nw_parallelogram(p):
+    shape = ferrers(p)
+    if shape is not None:
+        spans = shape[1]
+        size = [0, *(t - b for b, t in spans)]
+        deg = [0] * (p.n + 1)
+        for b, t in spans:
+            for y in range(b, t + 1):
+                deg[y] += 1
+        return VarOrder(sorted(p.vertices, key=lambda v: (-size[v[0]], -v[0], deg[v[1]], -v[1])))
+    if is_nw_parallelogram(p):
         return VarOrder(sorted(p.vertices, key=lambda v: (v[0], -v[1])), advisory=True)
     hs = heights(p)
     ranked = sorted(p.vertices, key=lambda v: (-hs[v[0] - 1], -v[0], -v[1]))
-    return VarOrder(ranked, advisory=not stack)
+    return VarOrder(ranked, advisory=True)
 
 
 class InnerMinor(NamedTuple):
@@ -323,8 +325,8 @@ class InitialIdeal:
 def initial_ideal(p: Polyomino, order: VarOrder | None = None) -> InitialIdeal:
     """Leading terms of the inner minors, one per minor.
 
-    Under the default order of a stack or a stack image (variable_order
-    marks neither advisory) this is the initial ideal outright. Every
+    Under the default order of a Ferrers shape (variable_order does not
+    mark it advisory) this is the initial ideal outright. Every
     other order, supplied by the caller or an advisory default, is first
     run through the Groebner check.
     """

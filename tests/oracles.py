@@ -133,6 +133,31 @@ def brute_stack_images(p):
     return out
 
 
+def brute_ferrers(p):
+    """The profile lam of the stack that relabelling p's vertex columns
+    and levels maps p's vertices onto, when the level sets of p's vertex
+    columns are nested (compared pairwise, as sets); None otherwise.
+
+    The columns are relabelled by descending level count, the levels by
+    descending column count, and the relabelled vertex set must be that
+    of the stack with profile lam, as stack_from_profile builds it."""
+    vs = vertex_set(p)
+    levels, columns = {}, {}
+    for i, j in vs:
+        levels.setdefault(i, set()).add(j)
+        columns.setdefault(j, set()).add(i)
+    if not all(a <= b or b <= a for a in levels.values() for b in levels.values()):
+        return None
+    by_size = sorted(levels, key=lambda i: -len(levels[i]))
+    by_degree = sorted(columns, key=lambda j: -len(columns[j]))
+    lam = tuple(len(levels[i]) - 1 for i in by_size[1:])
+    col_to = {i: k for k, i in enumerate(by_size, 1)}
+    level_to = {j: k for k, j in enumerate(by_degree, 1)}
+    stack = Polyomino((c, r) for c, h in enumerate(lam, 1) for r in range(1, h + 1))
+    assert {(col_to[i], level_to[j]) for i, j in vs} == vertex_set(stack), sorted(p.cells)
+    return lam
+
+
 def neigh_y(vs, t):
     """Row levels adjacent to the column set t in the vertex graph whose
     edges are the vertices vs."""

@@ -290,22 +290,36 @@ def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypat
 
 
 def test_a_stack_image_gets_the_recursion_and_a_trusted_order(capsys, monkeypatch):
-    # fig14's transpose: full_report's recursion, held by --oracle to the
-    # complex, the transpose (fig14 itself) and the rook number; its
-    # default order is not advisory, and --oracle runs the Groebner check
+    # fig14's transpose, a Ferrers shape: full_report's recursion on the
+    # conjugate profile, held by --oracle to the complex, the transpose
+    # (fig14 itself) and the rook number; its default order is not
+    # advisory, and --oracle runs the Groebner check
     grid = "#..\\n###\\n###\\n##.\\n#.."
     rc, out, err = run(capsys, "invariants", "--grid", grid, "--oracle", "--json")
     assert (rc, err) == (0, "")
     got = json.loads(out)
     assert got["multiplicity"] == invariants.full_report(fixtures.load("fig14")).multiplicity
     assert got["methods"]["h_vector"] == "recursion"
-    assert got["notes"][0] == "the recursion ran on the stack that the transpose maps P onto"
+    assert got["notes"][0] == (
+        "P is a Ferrers shape: the recursion ran on the stack with profile (5, 3, 2)"
+    )
     rc, out, err = run(capsys, "groebner", "--grid", grid, "--oracle", "--json")
     assert (rc, err) == (0, "")
     assert json.loads(out)["advisory"] is False and json.loads(out)["verified"] is True
     monkeypatch.setattr(cli, "hilbert_numerator", lambda c: (1, 1))
     rc, _, err = run(capsys, "invariants", "--grid", grid, "--oracle")
     assert rc == 2 and "vs complex" in err
+
+
+def test_facets_oracle_holds_a_ferrers_shape_to_the_recursion(capsys, monkeypatch):
+    # fig1_right is no stack, but its vertex columns hold nested levels:
+    # its 10 facets are held to the recursion, and one facet fewer exits 2
+    rc, out, err = run(capsys, "facets", path("fig1_right"), "--oracle")
+    assert (rc, err) == (0, "") and out.startswith("d: 7   facets: 10\n")
+    real = cli.facets
+    monkeypatch.setattr(cli, "facets", lambda c: real(c)[1:])
+    rc, _, err = run(capsys, "facets", path("fig1_right"), "--oracle")
+    assert rc == 2 and "facet count 9 vs recursion 10" in err
 
 
 def test_invariants_oracle_checks_the_rook_number(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from polyrings import invariants, srcomplex, toric
+from polyrings import invariants, polyomino, srcomplex, toric
 from polyrings.errors import (
     BadParameters,
     ConsistencyError,
@@ -30,21 +30,20 @@ from polyrings.invariants import (
 )
 from polyrings.polyomino import (
     Polyomino,
-    StackImage,
     cells_at_or_above,
     distinguished_vertex,
+    ferrers,
     heights,
     is_rectangle,
     is_stack,
     mirror,
     parse,
     stack_from_profile,
-    stack_image,
     transpose,
 )
 from polyrings.srcomplex import build_complex, facets, hilbert_numerator
 from polyrings.toric import variable_order
-from oracles import brute_rook_number, brute_stack_images, delete_cell
+from oracles import brute_ferrers, brute_rook_number, brute_stack_images, delete_cell
 from pool import (
     CONVEX_FIXTURES,
     STACK_FIXTURES,
@@ -257,6 +256,39 @@ def test_h_of_a_rectangle():
     assert multiplicity_recursive(rect) == multiplicity_rectangle(5, 4) == 35
 
 
+def test_h_is_unchanged_by_sorting_the_profile():
+    # a stack and the stack of its sorted profile are Ferrers shapes with
+    # one lam, so their rings are isomorphic (the invariants docstring)
+    stacks = stacks_upto(11)
+    assert len(stacks) == 852
+    for p in stacks:
+        hs = invariants._profile(p)
+        assert invariants._h(hs) == invariants._h(tuple(sorted(hs, reverse=True))), hs
+
+
+def octagon(side, cut):
+    """The side x side box without the cells whose L1 distance to a
+    corner is below cut."""
+    return Polyomino(
+        (c, r)
+        for c in range(1, side + 1)
+        for r in range(1, side + 1)
+        if min(c - 1, side - c) + min(r - 1, side - r) >= cut
+    )
+
+
+def test_octagons_take_the_recursion():
+    # octagons are Ferrers shapes: all four values come off the
+    # recursion, even where the complex's Groebner check would need more
+    # than MAX_SPAIRS S-pairs (301 and 357 vertices)
+    for side, cut, size in ((16, 4, 249), (18, 5, 301), (20, 6, 357)):
+        p = octagon(side, cut)
+        assert len(p.vertices) == size and not is_stack(p)
+        r = full_report(p)
+        assert set(r.methods.values()) == {"recursion", "interval criterion"}, size
+        assert r.regularity == rook_number(p), size
+
+
 def test_memo_is_cleared_past_its_bound(monkeypatch):
     monkeypatch.setattr(invariants, "_mult_memo", {})
     monkeypatch.setattr(invariants, "_MEMO_MAX_ENTRIES", 5)
@@ -413,8 +445,8 @@ def test_full_report_certifies_every_stack_up_to_13_cells():
 
 
 def test_full_report_certifies_every_non_stack_up_to_8_cells():
-    # under variable_order every h comes off the recursion for a stack
-    # image and off the complex otherwise, and the palindromicity
+    # under variable_order every h comes off the recursion for a Ferrers
+    # shape and off the complex otherwise, and the palindromicity
     # certificate runs on each
     shapes = [p for p in convex_upto(8) if not is_stack(p)]
     assert len(shapes) == 1956
@@ -423,10 +455,10 @@ def test_full_report_certifies_every_non_stack_up_to_8_cells():
         r = full_report(p, variable_order(p))
         sources[r.methods["h_vector"]] += 1
         assert r.gorenstein == (r.h_vector == r.h_vector[::-1])
-    assert sources == {"recursion": 305, "complex": 1651}
+    assert sources == {"recursion": 418, "complex": 1538}
 
 
-def image_problems(shapes):
+def ferrers_problems(shapes):
     """The shapes whose default report takes the recursion and differs
     from the complex under the default order, or whose default order
     then fails the Groebner check or orients the compatibility graph
@@ -447,79 +479,79 @@ def image_problems(shapes):
 
 
 def test_stack_images_take_the_recursion_up_to_9_cells():
-    # stack_image finds exactly the non-stacks that one of the 8 grid
-    # symmetries maps onto a stack, with one of the images' profiles;
-    # their default order is trusted, and it passes the checks
-    shapes = [p for p in convex_upto(9) if not is_stack(p)]
-    images = 0
+    # ferrers finds exactly the shapes whose vertex columns hold nested
+    # level sets, with the oracle's relabelled profile; every stack and
+    # every image of one under the 8 grid symmetries is among them; each
+    # gets the recursion and a trusted default order, which passes the
+    # checks
+    shapes = convex_upto(9)
+    non_stacks = 0
     for p in shapes:
-        image, profiles = stack_image(p), brute_stack_images(p)
-        assert (image is not None) == bool(profiles), sorted(p.cells)
-        if image is not None:
-            images += 1
-            assert image.profile in profiles, sorted(p.cells)
+        shape, lam = ferrers(p), brute_ferrers(p)
+        assert (shape is None) == (lam is None), sorted(p.cells)
+        if brute_stack_images(p):
+            assert shape is not None, sorted(p.cells)
+        if shape is not None:
+            assert shape[0] == lam, sorted(p.cells)
             assert not variable_order(p).advisory
             assert full_report(p).methods["h_vector"] == "recursion"
-    assert images == 578
-    assert image_problems(shapes) == []
+            non_stacks += not is_stack(p)
+    assert non_stacks == 878
+    assert ferrers_problems(shapes) == []
 
 
 def test_a_wrong_symmetry_fails_the_image_sweep(monkeypatch):
-    # full_report reads the symmetry's profile, variable_order its
-    # vertex map
+    # full_report reads ferrers' profile, variable_order its spans
     shapes = [p for p in convex_upto(7) if not is_stack(p)]
 
-    def any_full_row_as_the_top(p):
-        # a full row anywhere, read as a full top row when the column
-        # heights rise and then fall, as a stack's do
-        image = stack_image(p)
-        rows = Counter(r for _, r in p.cells)
-        if image is not None or p.m - 1 not in rows.values():
-            return image
-        cols = Counter(c for c, _ in p.cells)
-        hs = [cols[c] for c in range(1, p.m)]
-        peak = hs.index(max(hs))
-        if hs[: peak + 1] != sorted(hs[: peak + 1]) or hs[peak:] != sorted(hs[peak:])[::-1]:
+    def crossing_spans_accepted(p):
+        # ferrers' profile and spans, without the nesting test
+        lo, hi = polyomino._cell_column_bounds(p)
+        spans = tuple(
+            (min(lo[x - 1], lo[x]), max(hi[x - 1], hi[x]) + 1) for x in range(1, p.m + 1)
+        )
+        return tuple(sorted((t - b for b, t in spans), reverse=True)[1:]), spans
+
+    def levels_ranked_by_index(p):
+        # every span moved down to level 1, as a stack's are: the level
+        # degrees then fall with the level, and the key ranks by level
+        shape = ferrers(p)
+        if shape is None:
             return None
-        return StackImage("vertical flip", tuple(hs), p.m, p.n)
+        return shape[0], tuple((1, 1 + t - b) for b, t in shape[1])
 
-    def transpose_without_the_flip(p):
-        image = stack_image(p)
-        if image is None or image.symmetry != "transpose of the mirror image":
-            return image
-        return image._replace(symmetry="transpose")
-
-    assert image_problems(shapes) == []
-    for module, wrong in (
-        (invariants, any_full_row_as_the_top),
-        (toric, transpose_without_the_flip),
-    ):
+    assert ferrers_problems(shapes) == []
+    for wrong in (crossing_spans_accepted, levels_ranked_by_index):
         with monkeypatch.context() as mp:
-            mp.setattr(module, "stack_image", wrong)
-            assert image_problems(shapes), wrong.__name__
+            mp.setattr(invariants, "ferrers", wrong)
+            mp.setattr(toric, "ferrers", wrong)
+            assert ferrers_problems(shapes), wrong.__name__
 
 
 def test_full_report_certificates_can_fail(monkeypatch):
-    # both certificates run on a stack image: the transpose of fig14, and
-    # that of ex3, a Gorenstein stack with h = (1, 6, 6, 1)
+    # both certificates run on a Ferrers non-stack: the transpose of
+    # fig14, whose lam (5, 3, 2) is the conjugate of fig14's (3, 3, 2, 1, 1),
+    # and that of ex3, a Gorenstein stack with h = (1, 6, 6, 1)
     p = fx("fig14")
     image, gorenstein_image = transpose(p), transpose(fx("ex3"))
-    assert not is_stack(image) and stack_image(image).symmetry == "transpose"
-    assert not is_stack(gorenstein_image) and stack_image(gorenstein_image) is not None
+    assert not is_stack(image) and ferrers(image)[0] == (5, 3, 2)
+    assert not is_stack(gorenstein_image) and ferrers(gorenstein_image) is not None
     for shape in (p, image):
         with monkeypatch.context() as mp:
             mp.setattr(invariants, "_exact_regularity", lambda q: 2)
             with pytest.raises(ConsistencyError, match="closed form"):
                 full_report(shape)
     # the palindromicity certificate covers the complex's h as well:
-    # fig9 is a Gorenstein non-stack, with h = (1, 6, 6, 1) off the complex
-    q = fx("fig9")
-    assert not is_stack(q) and stack_image(q) is None
+    # vertical is a Gorenstein non-Ferrers shape, with h = (1, 5, 5, 1)
+    # off the complex, and ex6 a non-Gorenstein one
+    q, r = fx("vertical"), fx("ex6")
+    assert ferrers(q) is ferrers(r) is None
     for shape, order, forced in (
         (p, None, True),
         (image, None, True),
         (gorenstein_image, variable_order(gorenstein_image), False),
         (q, variable_order(q), False),
+        (r, variable_order(r), True),
     ):
         with monkeypatch.context() as mp:
             mp.setattr(invariants, "is_gorenstein_convex", lambda _: GorensteinVerdict(
@@ -564,13 +596,16 @@ def test_full_report_on_a_chain_path_non_stack_past_40_vertices():
 
 
 def test_full_report_gates_non_stacks():
-    p = fx("fig9")
+    # vertex column 1 of vertical holds levels 3-4 and column 4 levels
+    # 1-2: not nested, so not a Ferrers shape
+    p = fx("vertical")
+    assert ferrers(p) is None
     bare = full_report(p)
     assert bare.multiplicity is None
     assert bare.methods["multiplicity"] == "unavailable"
     assert bare.gorenstein is True
     keyed = full_report(p, variable_order(p))
-    assert keyed.multiplicity == 14
+    assert keyed.multiplicity == 12
     assert keyed.methods["multiplicity"] == "complex"
     assert keyed.regularity == keyed.d + keyed.a_invariant
 
@@ -590,8 +625,6 @@ def test_full_report_rejects_non_convex():
 
 
 def test_full_report_scans_convexity_once(monkeypatch):
-    from polyrings import polyomino
-
     scans = []
     for name in ("is_row_convex", "is_column_convex"):
         scan = getattr(polyomino, name)

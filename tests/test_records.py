@@ -19,7 +19,7 @@ from polyrings.gorenstein import (
     is_gorenstein_convex,
 )
 from polyrings.invariants import Decomposition, InvariantReport, decompose, full_report
-from polyrings.polyomino import StackImage, parse, stack_image
+from polyrings.polyomino import parse
 from polyrings.srcomplex import FlagComplex, build_complex
 from polyrings.toric import InitialIdeal, VarOrder, initial_ideal
 
@@ -49,7 +49,6 @@ VALUE_RECORDS = [
         ("gorenstein", "violation", "certificates", "method"),
     ),
     (Decomposition, lambda: decompose(parse(L_SHAPE)), ("v", "p1", "p2")),
-    (StackImage, lambda: stack_image(parse(NON_STACK)), ("symmetry", "profile", "m", "n")),
 ]
 
 # (class, builder, whether its fields are frozen) for identity records

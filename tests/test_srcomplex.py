@@ -64,14 +64,16 @@ def box(side):
     return Polyomino([(c, r) for c in range(1, side + 1) for r in range(1, side + 1)])
 
 
-def octagon(side, cut):
-    """The side x side box without the cells (c, r) whose L1 distance
-    min(c - 1, side - c) + min(r - 1, side - r) to a corner is below cut."""
+def notched_box(side, cut):
+    """The side x side box without the cells (c, r) whose L1 distance to
+    the lower-left, lower-right or upper-left corner is below cut. The
+    level spans of vertex columns 2 and m cross, so it is no Ferrers
+    shape."""
     return Polyomino(
         (c, r)
         for c in range(1, side + 1)
         for r in range(1, side + 1)
-        if min(c - 1, side - c) + min(r - 1, side - r) >= cut
+        if min(c - 1, side - c) + r - 1 >= cut and c - 1 + side - r >= cut
     )
 
 
@@ -145,7 +147,7 @@ def test_chain_path_matches_the_fallback_and_the_recursion():
 
 
 def test_fallback_on_intransitive_advisory_orders():
-    for name in ("fig9", "ex6"):
+    for name in ("fig8", "ex6"):
         c = build_complex(fx(name), variable_order(fx(name)))
         assert c.order.advisory and _rank_poset(c) is None
         assert f_vector(c) == brute_f_vector(c.vertices, c.forbidden, c.d)
@@ -159,9 +161,9 @@ def test_fallback_counts_every_intransitive_small_convex_complex():
     # check, on every convex shape with at most 7 cells; Bron-Kerbosch
     # is held to the brute listing under the height ranking up to 6
     # cells, as the brute force takes seconds at 7. The height ranking
-    # was variable_order's default for every non-stack until stack images
-    # and NW parallelograms got transitive orders; it keeps the fallback
-    # covered on those shapes.
+    # was variable_order's default for every non-stack until Ferrers
+    # shapes and NW parallelograms got transitive orders; it keeps the
+    # fallback covered on those shapes.
     fallback = listed = 0
     for p in convex_upto(7):
         advisory = VarOrder(height_ranking(p), advisory=True)
@@ -182,7 +184,7 @@ def test_fallback_counts_every_intransitive_small_convex_complex():
 
 def test_chain_path_on_non_stack_posets():
     # every convex shape with at most 7 cells, under the default order
-    # of a non-stack (a stack image's transported order, an NW
+    # of a non-stack (a Ferrers shape's pulled-back height order, an NW
     # parallelogram's lattice order or the advisory height order) and
     # under the shuffled orders that pass the Groebner check, wherever
     # the ranking is transitive; the cover walk is held to the brute
@@ -204,7 +206,7 @@ def test_chain_path_on_non_stack_posets():
                 assert [tuple(sorted(f)) for f in facets(c)] == (
                     brute_maximal_independent_sets(c.vertices, c.forbidden)
                 ), (p, o)
-    assert (chain, listed) == (395, 150)
+    assert (chain, listed) == (430, 159)
 
 
 def brute_counts(c, mask):
@@ -415,16 +417,16 @@ def test_facet_budget_stops_before_listing(monkeypatch):
 
 
 def test_dp_budget_stops_the_fallback(monkeypatch):
-    # the 76-vertex octagon is off the chain path: its DP needs 2,030
+    # the 63-vertex notched box is off the chain path: its DP needs 1,021
     # memo entries, and a budget of 1,000 stops it at the 1,001st
-    p = octagon(9, 3)
+    p = notched_box(8, 3)
     order = variable_order(p)
     c = build_complex(p, order)
-    assert len(c.vertices) == 76 and _rank_poset(c) is None
-    full = (1 << 76) - 1
+    assert len(c.vertices) == 63 and _rank_poset(c) is None
+    full = (1 << 63) - 1
     memo: dict = {}
     _independent_counts(_adjacency(c), full, memo)
-    assert len(memo) == 2030
+    assert len(memo) == 1021
     monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 1000)
     memo = {}
     with pytest.raises(TooLarge, match="MAX_DP_ENTRIES = 1000 memo entries"):
@@ -442,10 +444,10 @@ def test_dp_budget_stops_the_fallback(monkeypatch):
         "independent-set DP past the budget MAX_DP_ENTRIES = 1000 memo entries",
     )
     # inclusive here too
-    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 2029)
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 1020)
     with pytest.raises(TooLarge):
         f_vector(build_complex(p, order))
-    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 2030)
+    monkeypatch.setattr(srcomplex, "MAX_DP_ENTRIES", 1021)
     assert f_vector(build_complex(p, order)) == f_vector(c)
 
 

@@ -5,11 +5,10 @@ from polyrings.errors import BadParameters, GroebnerUnverified, TooLarge
 from polyrings.invariants import full_report
 from polyrings.polyomino import (
     Polyomino,
+    ferrers,
     heights,
     is_nw_parallelogram,
-    is_stack,
     parse,
-    stack_image,
     transpose,
 )
 from polyrings.srcomplex import _rank_poset, build_complex, hilbert_numerator
@@ -239,10 +238,10 @@ def test_unflagged_bad_order_on_a_stack_gates_the_complex():
 
 
 def test_nw_parallelograms_take_their_lattice_order_up_to_9_cells():
-    # every NW parallelogram with at most 9 cells, stacks and stack
-    # images included: the lattice order passes the Groebner check and
-    # orients the compatibility graph transitively, and its h equals the
-    # height ranking's; it is the default order of the others
+    # every NW parallelogram with at most 9 cells, Ferrers shapes
+    # included: the lattice order passes the Groebner check and orients
+    # the compatibility graph transitively, and its h equals the height
+    # ranking's; it is the default order of the others
     lattices = defaults = 0
     for p in convex_upto(9):
         assert is_nw_parallelogram(p) == brute_nw_parallelogram(p), sorted(p.cells)
@@ -255,7 +254,7 @@ def test_nw_parallelograms_take_their_lattice_order_up_to_9_cells():
         assert _rank_poset(c) is not None, sorted(p.cells)
         height = build_complex(p, VarOrder(height_ranking(p)))
         assert hilbert_numerator(c) == hilbert_numerator(height), sorted(p.cells)
-        if not is_stack(p) and stack_image(p) is None:
+        if ferrers(p) is None:
             defaults += 1
             assert variable_order(p).ranked == lattice.ranked
             assert variable_order(p).advisory
@@ -263,8 +262,9 @@ def test_nw_parallelograms_take_their_lattice_order_up_to_9_cells():
 
 
 def test_advisory_ideal_passes_after_verification():
-    ii = initial_ideal(fx("fig9"))
-    assert len(ii.generators) == len(inner_minors(fx("fig9"))) == 15
+    assert variable_order(fx("ex6")).advisory
+    ii = initial_ideal(fx("ex6"))
+    assert len(ii.generators) == len(inner_minors(fx("ex6"))) == 18
 
 
 def facet_count(p, order=None):
@@ -349,10 +349,11 @@ def spair_count(p, order):
 
 
 def test_spair_budget_stops_the_check_before_reducing(monkeypatch):
-    p = fx("fig9")
+    # ex6 is not a Ferrers shape, so its default order is checked
+    p = fx("ex6")
     order = variable_order(p)
     count = spair_count(p, order)
-    assert toric.MAX_SPAIRS == 2_000_000 and count == 36
+    assert toric.MAX_SPAIRS == 2_000_000 and count == 46 and order.advisory
     monkeypatch.setattr(toric, "MAX_SPAIRS", count - 1)
     refusal = f"{count} S-pairs exceed the budget MAX_SPAIRS = {count - 1}"
     for fn in (verify_groebner, initial_ideal, build_complex):
@@ -361,11 +362,13 @@ def test_spair_budget_stops_the_check_before_reducing(monkeypatch):
     r = full_report(p, order)
     assert r.h_vector is None and r.methods["h_vector"] == "unavailable"
     assert r.notes == (refusal,)
-    # inclusive; and a stack's own height order is not checked at all
+    # inclusive; and the default order of a Ferrers shape, a stack or
+    # not, is not checked at all
     monkeypatch.setattr(toric, "MAX_SPAIRS", count)
     assert verify_groebner(p, order)
     monkeypatch.setattr(toric, "MAX_SPAIRS", 0)
-    assert len(initial_ideal(fx("ex3")).generators) == len(inner_minors(fx("ex3")))
+    for name in ("ex3", "fig9"):
+        assert len(initial_ideal(fx(name)).generators) == len(inner_minors(fx(name)))
 
 
 def test_verify_groebner_on_the_9x9_rectangle():
