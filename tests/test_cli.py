@@ -289,6 +289,27 @@ def test_invariants_oracle_reads_the_transpose_up_to_the_guard(capsys, monkeypat
     assert seen == [(45, True)]
 
 
+def test_invariants_oracle_skips_the_transpose_of_a_symmetric_shape(capsys, monkeypatch):
+    # the 3 x 3 box without its corners equals its transpose, whose
+    # complex under variable_order would be the one just compared with
+    # the recursion: --oracle builds one complex; fig14's transpose,
+    # which is not its own transpose, still builds two
+    seen = []
+    real = srcomplex.hilbert_numerator
+
+    def spy(c):
+        seen.append(c.poly)
+        return real(c)
+
+    monkeypatch.setattr(cli, "hilbert_numerator", spy)
+    monkeypatch.setattr(invariants, "hilbert_numerator", spy)
+    for grid, built in ((".#.\\n###\\n.#.", 1), ("#..\\n###\\n###\\n##.\\n#..", 2)):
+        seen.clear()
+        rc, _, err = run(capsys, "invariants", "--grid", grid, "--oracle")
+        assert (rc, err) == (0, "")
+        assert len(seen) == built and len(set(seen)) == built
+
+
 def test_a_stack_image_gets_the_recursion_and_a_trusted_order(capsys, monkeypatch):
     # fig14's transpose, a Ferrers shape: full_report's recursion on the
     # conjugate profile, held by --oracle to the complex, the transpose

@@ -1,3 +1,4 @@
+import gc
 import random
 from math import comb
 
@@ -414,6 +415,71 @@ def test_facet_budget_stops_before_listing(monkeypatch):
         facets(build_complex(fx("ex3")))
     monkeypatch.setattr(srcomplex, "MAX_FACETS", 14)
     assert len(facets(build_complex(fx("ex3")))) == 14
+
+
+def collector_after(enabled, fn, *args):
+    """Run fn(*args) with the cyclic collector on or off; its result and
+    whether the collector is on after it. The state on entry is restored."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        return fn(*args), gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def listing(c):
+    return [tuple(sorted(f)) for f in facets(c)]
+
+
+def refused(error):
+    def run(c):
+        with pytest.raises(error):
+            facets(c)
+
+    return run
+
+
+def test_facets_turn_an_enabled_collector_back_on(monkeypatch):
+    # the collector is paused around the listing and on again after it,
+    # and the listing is the oracle's, on the chain path and the fallback
+    for c in (build_complex(fx("fig9")), build_complex(fx("ex6"))):
+        got, on = collector_after(True, listing, c)
+        assert on and got == brute_maximal_independent_sets(c.vertices, c.forbidden)
+
+    # also when the listing fails inside the pause
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(srcomplex, "accumulate", fail)
+    c = build_complex(fx("ex1"))
+    assert collector_after(True, refused(MemoryError), c)[1] and c._facets is None
+
+
+def test_facets_leave_a_disabled_collector_off():
+    # a caller who turned the collector off keeps it off, and one who
+    # turns it on again gets it back on after the next listing
+    for enabled in (False, True):
+        c = build_complex(fx("fig9"))
+        got, on = collector_after(enabled, listing, c)
+        assert on is enabled
+        assert got == brute_maximal_independent_sets(c.vertices, c.forbidden)
+
+
+def test_facet_budget_leaves_the_collector_alone(monkeypatch):
+    # TooLarge is raised before the paused listing (the 10 x 10 box, and
+    # ex3 under a budget of 13), so the caller's setting never changes;
+    # under a budget of 14 ex3 is listed and the setting restored
+    c = build_complex(box(10))
+    for enabled in (True, False):
+        assert collector_after(enabled, refused(TooLarge), c)[1] is enabled
+    monkeypatch.setattr(srcomplex, "MAX_FACETS", 13)
+    for enabled in (True, False):
+        assert collector_after(enabled, refused(TooLarge), build_complex(fx("ex3")))[1] is enabled
+    monkeypatch.setattr(srcomplex, "MAX_FACETS", 14)
+    for enabled in (True, False):
+        got, on = collector_after(enabled, facets, build_complex(fx("ex3")))
+        assert len(got) == 14 and on is enabled
 
 
 def test_dp_budget_stops_the_fallback(monkeypatch):
