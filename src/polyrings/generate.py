@@ -57,9 +57,9 @@ def convex_polyominoes(max_cells: int) -> Iterator[Polyomino]:
     first, each size in ascending order of its sorted cell list.
 
     Shapes come from the column-interval search of the module docstring,
-    one size at a time. Each one is checked with is_convex, whose cached
-    verdict later callers reuse; a non-convex candidate raises
-    ConsistencyError.
+    one size at a time. Each one is checked with is_convex, whose column
+    and row bounds stay on the polyomino for later callers to read; a
+    non-convex candidate raises ConsistencyError.
     """
     for size in range(1, max_cells + 1):
         for cells in _convex_cell_tuples(size):

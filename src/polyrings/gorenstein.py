@@ -6,8 +6,10 @@ is an edge exactly when the lattice point (i, j) is a corner of some
 cell. Subsets of a side are bit sets of the side's width (Python ints,
 so any width), bit i-1 standing for x_i (or y_i). The scan below keeps
 the graph as two tables, the levels of each column and the columns of
-each level; the per-subset interval, pull-back and connectivity
-conditions are written out on plain sets only in the tests' oracles.
+each level, each entry one run of bits read off the polyomino's kept
+line bounds (polyomino.vertex_spans); the per-subset interval,
+pull-back and connectivity conditions are written out on plain sets
+only in the tests' oracles.
 
 The convex criterion quantifies over nonempty proper subsets T of X:
 whenever (a) N_Y(T) is a neighbor vertical interval and (b) Y \\ N_Y(T)
@@ -96,7 +98,17 @@ from operator import or_
 from typing import NamedTuple
 
 from .errors import NotConvex, NotStack
-from .polyomino import Polyomino, cells_at_or_above, corners, heights, is_convex, is_stack
+from .polyomino import (
+    Polyomino,
+    cells_at_or_above,
+    column_bounds,
+    corners,
+    heights,
+    is_convex,
+    is_stack,
+    row_bounds,
+    vertex_spans,
+)
 
 
 class SideSubset:
@@ -235,14 +247,11 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
         return gate
     m, n = p.m, p.n
     # levels[x - 1] bit j - 1 and columns[j - 1] bit x - 1: (x, j) is a
-    # vertex, a corner of some cell
-    levels = [0] * m
-    columns = [0] * n
-    for c, r in p.cells:
-        levels[c - 1] |= 3 << (r - 1)
-        levels[c] |= 3 << (r - 1)
-        columns[r - 1] |= 3 << (c - 1)
-        columns[r] |= 3 << (c - 1)
+    # vertex, a corner of some cell. On a convex shape the levels of
+    # vertex column x are its span [b, t] and the columns of level j
+    # its span, each one run of bits
+    levels = [(1 << t) - (1 << b - 1) for b, t in vertex_spans(*column_bounds(p)[:2])]
+    columns = [(1 << t) - (1 << b - 1) for b, t in vertex_spans(*row_bounds(p)[:2])]
     full_x = (1 << m) - 1
     # out_low[low]: the columns with a level below `low`; out_top[top]:
     # the columns with a level at `top` or above; X \ T is their union

@@ -98,6 +98,7 @@ from .errors import (
 from .gorenstein import is_gorenstein_convex
 from .polyomino import (
     Polyomino,
+    column_bounds,
     distinguished_vertex,
     ferrers,
     is_convex,
@@ -132,16 +133,16 @@ def rook_number(p: Polyomino) -> int:
     gets the open cell column whose rows end first. Any maximum matching
     can be exchanged into the greedy one row at a time, since the column
     the greedy takes stays open no longer than the one it displaces.
+    Cell column c holds the rows [lo[c], hi[c]] of the polyomino's kept
+    column bounds, so it opens at row lo[c] and ends at row hi[c].
     """
     if not is_convex(p):
         raise NotConvex("the rook number sweep needs a convex polyomino")
-    rows = [0] * p.m
-    for c, r in p.cells:
-        rows[c] |= 1 << (r - 1)
+    lo, hi, _ = column_bounds(p)
     # opening[r]: the last rows of the cell columns whose first row is r
     opening: list[list[int]] = [[] for _ in range(p.n)]
-    for b in rows[1:]:
-        opening[(b & -b).bit_length()].append(b.bit_length())
+    for c in range(1, p.m):
+        opening[lo[c]].append(hi[c])
     ends: list[int] = []  # the last rows of the open columns, ascending
     rooks = 0
     for r in range(1, p.n):
@@ -181,11 +182,10 @@ Profile = tuple[int, ...]
 
 
 def _profile(p: Polyomino) -> Profile:
-    """Cell column heights h_1..h_{m-1} of a stack, in one pass over the cells."""
-    hs = [0] * (p.m - 1)
-    for c, _ in p.cells:
-        hs[c - 1] += 1
-    return tuple(hs)
+    """Cell column heights h_1..h_{m-1} of a stack: every cell column
+    starts at row 1, so its height is its highest row, read off the
+    polyomino's kept column bounds."""
+    return column_bounds(p)[1][1:-1]
 
 
 def _step(hs: Profile) -> tuple[Profile, Profile]:

@@ -4,6 +4,13 @@ A cell is named by its lower-left corner (col, row), 1-based. A polyomino
 is a finite edge-connected set of cells, kept normalized so that some cell
 has col == 1 and some cell has row == 1. The vertex box is [m] x [n] with
 m = max col + 1 and n = max row + 1; every corner of every cell lies in it.
+
+Every classification here reads one table per axis: the lowest and the
+highest cell on each cell column (column_bounds) and on each cell row
+(row_bounds), with whether every line is an interval. Each table comes
+from one pass over the cells and is kept on the polyomino, so the layers
+that each classify it, or read its column intervals, scan the cells
+once per axis.
 """
 
 from __future__ import annotations
@@ -45,11 +52,11 @@ class Polyomino:
         vertices: frozenset of lattice corners of cells.
         m, n: vertex box sides, m = max col + 1, n = max row + 1.
 
-    The convexity verdict is computed on first use and kept (slot
-    _convex), so the layers that each check it scan the cells once.
+    The column and row bounds tables are computed on first use and kept
+    (slots _columns and _rows); see column_bounds.
     """
 
-    __slots__ = ("cells", "vertices", "m", "n", "_convex")
+    __slots__ = ("cells", "vertices", "m", "n", "_columns", "_rows")
 
     def __init__(self, cells: Iterable[Cell]):
         cs = {(int(c), int(r)) for c, r in cells}
@@ -72,7 +79,8 @@ class Polyomino:
             verts.add((c, r + 1))
             verts.add((c + 1, r + 1))
         object.__setattr__(self, "vertices", frozenset(verts))
-        object.__setattr__(self, "_convex", None)
+        object.__setattr__(self, "_columns", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polyomino is immutable")
@@ -144,37 +152,73 @@ def serialize(p: Polyomino) -> str:
     return "\n".join(rows)
 
 
-def _lines_convex(lines: Iterable[tuple[int, int]]) -> bool:
-    """Whether the positions on each line form an interval, given
-    (line, position) pairs: one pass collecting a min, a max and a
-    count per line."""
-    spans: dict[int, list[int]] = {}
+Bounds = tuple[tuple[int, ...], tuple[int, ...], bool]
+
+
+def _bounds(lines: Iterable[tuple[int, int]], k: int, far: int) -> Bounds:
+    """(lo, hi, convex) from (line, position) pairs on lines 1..k-1, in
+    one pass: lo[i] and hi[i] are the least and greatest position on
+    line i, lines 0 and k read far and 0, and convex says whether every
+    line's positions form an interval. A line holds at most
+    hi - lo + 1 positions, so all of them are intervals exactly when
+    these sizes add up to the number of pairs."""
+    lo = [far] * (k + 1)
+    hi = [0] * (k + 1)
+    size = 0
     for line, pos in lines:
-        span = spans.get(line)
-        if span is None:
-            spans[line] = [pos, pos, 1]
-        else:
-            if pos < span[0]:
-                span[0] = pos
-            elif pos > span[1]:
-                span[1] = pos
-            span[2] += 1
-    return all(hi - lo + 1 == count for lo, hi, count in spans.values())
+        if pos < lo[line]:
+            lo[line] = pos
+        if pos > hi[line]:
+            hi[line] = pos
+        size += 1
+    return tuple(lo), tuple(hi), sum(hi) - sum(lo[1:k]) + k - 1 == size
+
+
+def column_bounds(p: Polyomino) -> Bounds:
+    """(lo, hi, convex) of p's cell columns: the lowest and highest row
+    of cell column c at index c (columns 0 and m read n and 0), and
+    whether p is column convex. Computed once per polyomino."""
+    if p._columns is None:
+        object.__setattr__(p, "_columns", _bounds(p.cells, p.m, p.n))
+    return p._columns
+
+
+def row_bounds(p: Polyomino) -> Bounds:
+    """(lo, hi, convex) of p's cell rows, as column_bounds with the axes
+    swapped. Computed once per polyomino."""
+    if p._rows is None:
+        object.__setattr__(p, "_rows", _bounds(((r, c) for c, r in p.cells), p.n, p.m))
+    return p._rows
+
+
+Span = tuple[int, int]
+
+
+def vertex_spans(lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple[Span, ...]:
+    """The span [b, t] of each vertex line 1..k, given the bounds of
+    cell lines 0..k (as column_bounds gives them): b is the lower of the
+    lows of the two cell lines it meets, and t one more than the higher
+    of their highs. On a convex p every position in [b, t] is a vertex,
+    since two neighbouring cell lines overlap."""
+    # comparisons and a list, not min, max and a generator: every
+    # Gorenstein verdict builds its tables from two of these
+    return tuple([
+        (a if a < b else b, (c if c > d else d) + 1)
+        for a, b, c, d in zip(lo, lo[1:], hi, hi[1:])
+    ])
 
 
 def is_row_convex(p: Polyomino) -> bool:
-    return _lines_convex((r, c) for c, r in p.cells)
+    return row_bounds(p)[2]
 
 
 def is_column_convex(p: Polyomino) -> bool:
-    return _lines_convex(p.cells)
+    return column_bounds(p)[2]
 
 
 def is_convex(p: Polyomino) -> bool:
-    """Row convex and column convex; decided once per polyomino."""
-    if p._convex is None:
-        object.__setattr__(p, "_convex", is_row_convex(p) and is_column_convex(p))
-    return p._convex
+    """Row convex and column convex."""
+    return column_bounds(p)[2] and row_bounds(p)[2]
 
 
 _DIR_PAIRS = (
@@ -216,20 +260,7 @@ def has_monotone_paths(p: Polyomino) -> bool:
 
 def is_stack(p: Polyomino) -> bool:
     """Convex with a full bottom row of cells."""
-    return is_convex(p) and all((c, 1) in p.cells for c in range(1, p.m))
-
-
-def _cell_column_bounds(p: Polyomino) -> tuple[list[int], list[int]]:
-    """The lowest and highest row of each cell column c, at index c, in
-    one pass over the cells; columns 0 and m read n and 0."""
-    lo = [p.n] * (p.m + 1)
-    hi = [0] * (p.m + 1)
-    for c, r in p.cells:
-        if r < lo[c]:
-            lo[c] = r
-        if r > hi[c]:
-            hi[c] = r
-    return lo, hi
+    return is_convex(p) and all(low == 1 for low in column_bounds(p)[0][1:-1])
 
 
 def is_nw_parallelogram(p: Polyomino) -> bool:
@@ -237,20 +268,16 @@ def is_nw_parallelogram(p: Polyomino) -> bool:
     weakly falling from left to right."""
     if not is_convex(p):
         return False
-    lo, hi = _cell_column_bounds(p)
+    lo, hi, _ = column_bounds(p)
     return all(lo[c] >= lo[c + 1] and hi[c] >= hi[c + 1] for c in range(1, p.m - 1))
-
-
-Span = tuple[int, int]
 
 
 def ferrers(p: Polyomino) -> tuple[tuple[int, ...], tuple[Span, ...]] | None:
     """(lam, spans) when the level spans of p's vertex columns are
     nested, None when they are not or p is not convex.
 
-    Vertex column x holds the levels [b, t] of spans[x - 1]: b is the
-    lower of the bottom rows of cell columns x - 1 and x, and t one more
-    than the higher of their top rows. Sorted by (b ascending, t
+    Vertex column x holds the levels [b, t] of spans[x - 1], read off
+    the column bounds by vertex_spans. Sorted by (b ascending, t
     descending), the spans are nested exactly when the tops then weakly
     fall. lam lists the sizes t - b in descending order without the
     first: the longest span is shared by two adjacent vertex columns,
@@ -259,8 +286,7 @@ def ferrers(p: Polyomino) -> tuple[tuple[int, ...], tuple[Span, ...]] | None:
     """
     if not is_convex(p):
         return None
-    lo, hi = _cell_column_bounds(p)
-    spans = tuple((min(lo[x - 1], lo[x]), max(hi[x - 1], hi[x]) + 1) for x in range(1, p.m + 1))
+    spans = vertex_spans(*column_bounds(p)[:2])
     tops = [t for _, t in sorted(spans, key=lambda s: (s[0], -s[1]))]
     if any(a < b for a, b in zip(tops, tops[1:])):
         return None
@@ -278,13 +304,7 @@ def is_rectangle(p: Polyomino) -> bool:
 
 def heights(p: Polyomino) -> tuple[int, ...]:
     """Max vertex level per vertex column, i = 1..m. Meaningful for convex p."""
-    out = [0] * p.m
-    for c, r in p.cells:
-        if r >= out[c - 1]:
-            out[c - 1] = r + 1
-        if r >= out[c]:
-            out[c] = r + 1
-    return tuple(out)
+    return tuple(t for _, t in vertex_spans(*column_bounds(p)[:2]))
 
 
 def distinguished_vertex(p: Polyomino) -> tuple[int, int]:

@@ -17,23 +17,27 @@ def vertex_set(p):
     return out
 
 
+def brute_row_convex(p):
+    """Row convexity straight from the definition: every cell row holds
+    each cell between its leftmost and rightmost one."""
+    rows = {}
+    for c, r in p.cells:
+        rows.setdefault(r, []).append(c)
+    return all((c, r) in p.cells for r, cs in rows.items() for c in range(min(cs), max(cs) + 1))
+
+
+def brute_column_convex(p):
+    """Column convexity straight from the definition: every cell column
+    holds each cell between its lowest and highest one."""
+    cols = {}
+    for c, r in p.cells:
+        cols.setdefault(c, []).append(r)
+    return all((c, r) in p.cells for c, rs in cols.items() for r in range(min(rs), max(rs) + 1))
+
+
 def brute_convex(p):
     """Row/column convexity straight from the definition."""
-    cells = p.cells
-    rows = {}
-    cols = {}
-    for c, r in cells:
-        rows.setdefault(r, []).append(c)
-        cols.setdefault(c, []).append(r)
-    for r, cs in rows.items():
-        for c in range(min(cs), max(cs) + 1):
-            if (c, r) not in cells:
-                return False
-    for c, rs in cols.items():
-        for r in range(min(rs), max(rs) + 1):
-            if (c, r) not in cells:
-                return False
-    return True
+    return brute_row_convex(p) and brute_column_convex(p)
 
 
 def _normalize(cells):

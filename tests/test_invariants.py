@@ -13,7 +13,7 @@ from polyrings.errors import (
     NotPure,
     NotStack,
 )
-from polyrings.gorenstein import GorensteinVerdict
+from polyrings.gorenstein import GorensteinVerdict, is_gorenstein_convex
 from polyrings.invariants import (
     a_invariant_stack_exact,
     decompose,
@@ -31,15 +31,18 @@ from polyrings.invariants import (
 from polyrings.polyomino import (
     Polyomino,
     cells_at_or_above,
+    column_bounds,
     distinguished_vertex,
     ferrers,
     heights,
+    is_nw_parallelogram,
     is_rectangle,
     is_stack,
     mirror,
     parse,
     stack_from_profile,
     transpose,
+    vertex_spans,
 )
 from polyrings.srcomplex import build_complex, facets, hilbert_numerator
 from polyrings.toric import variable_order
@@ -506,10 +509,7 @@ def test_a_wrong_symmetry_fails_the_image_sweep(monkeypatch):
 
     def crossing_spans_accepted(p):
         # ferrers' profile and spans, without the nesting test
-        lo, hi = polyomino._cell_column_bounds(p)
-        spans = tuple(
-            (min(lo[x - 1], lo[x]), max(hi[x - 1], hi[x]) + 1) for x in range(1, p.m + 1)
-        )
+        spans = vertex_spans(*column_bounds(p)[:2])
         return tuple(sorted((t - b for b, t in spans), reverse=True)[1:]), spans
 
     def levels_ranked_by_index(p):
@@ -625,17 +625,28 @@ def test_full_report_rejects_non_convex():
 
 
 def test_full_report_scans_convexity_once(monkeypatch):
-    scans = []
-    for name in ("is_row_convex", "is_column_convex"):
-        scan = getattr(polyomino, name)
-        monkeypatch.setattr(
-            polyomino, name, lambda p, scan=scan, name=name: scans.append(name) or scan(p)
-        )
-    p = stack_from_profile((2, 3, 1))
-    rep = full_report(p)
-    assert rep.multiplicity == multiplicity_recursive(p)
-    assert sorted(scans) == ["is_column_convex", "is_row_convex"]
-    # the public checks still run on the kept verdict
+    # every reader of the line bounds shares the kept table: one pass
+    # over the cells per axis, whatever is asked of the shape
+    stack, other = stack_from_profile((2, 3, 1)), transpose(fx("fig14"))
+    bounds, axes = polyomino._bounds, []
+
+    def counted(lines, k, far):
+        pairs = frozenset(lines)
+        axes.append("column" if pairs == p.cells else "row")
+        return bounds(pairs, k, far)
+
+    monkeypatch.setattr(polyomino, "_bounds", counted)
+    for p in (stack, other):
+        axes.clear()
+        for read in (
+            full_report, variable_order, rook_number, heights, ferrers,
+            is_nw_parallelogram, is_gorenstein_convex, is_stack,
+        ):
+            read(p)
+        assert sorted(axes) == ["column", "row"], sorted(p.cells)
+    assert is_stack(stack) and not is_stack(other) and ferrers(other) is not None
+    assert full_report(stack).multiplicity == multiplicity_recursive(stack)
+    # the public checks still run on the kept bounds
     q = Polyomino([(1, 1), (1, 2), (2, 2)])
     for _ in range(2):
         with pytest.raises(NotStack):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from polyrings.errors import (
 from polyrings.polyomino import (
     Polyomino,
     cells_at_or_above,
+    column_bounds,
     corners,
     has_monotone_paths,
     heights,
@@ -23,10 +25,18 @@ from polyrings.polyomino import (
     is_stack,
     mirror,
     parse,
+    row_bounds,
     serialize,
     transpose,
 )
-from oracles import brute_convex, brute_heights, delete_cell, fixed_polyominoes
+from oracles import (
+    brute_column_convex,
+    brute_convex,
+    brute_heights,
+    brute_row_convex,
+    delete_cell,
+    fixed_polyominoes,
+)
 from pool import CONVEX_FIXTURES, STACK_FIXTURES, convex_upto, fx, stacks_upto
 
 
@@ -103,6 +113,27 @@ def test_convex_equals_monotone_paths_exhaustive():
     for p in fixed_polyominoes(7):
         assert is_convex(p) == has_monotone_paths(p)
         assert is_convex(p) == brute_convex(p)
+
+
+def test_line_bounds_exhaustive():
+    # the kept bounds table on every shape with <= 7 cells, non-convex
+    # ones included, since check prints both convexity flags for them
+    flags = Counter()
+    for p in fixed_polyominoes(7):
+        where = sorted(p.cells)
+        assert is_row_convex(p) == brute_row_convex(p), where
+        assert is_column_convex(p) == brute_column_convex(p), where
+        flags[is_row_convex(p), is_column_convex(p)] += 1
+        assert heights(p) == tuple(brute_heights(p)), where
+        full_bottom_row = all((c, 1) in p.cells for c in range(1, p.m))
+        assert is_stack(p) == (brute_convex(p) and full_bottom_row), where
+        rows = frozenset((r, c) for c, r in p.cells)
+        for (lo, hi, _), pairs, k in ((column_bounds(p), p.cells, p.m), (row_bounds(p), rows, p.n)):
+            for line in range(1, k):
+                on_line = {pos for ln, pos in pairs if ln == line}
+                assert (lo[line], hi[line]) == (min(on_line), max(on_line)), where
+    # 765 convex shapes (OEIS A067675), and the flags split on 298
+    assert flags == {(True, True): 765, (True, False): 149, (False, True): 149, (False, False): 4}
 
 
 def test_is_stack_fixtures():
