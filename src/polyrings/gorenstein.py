@@ -48,7 +48,11 @@ words.
 
 This scan is the package's one form of the convex criterion: the
 literal sweep over all 2^m column sets, each condition checked as
-written, is the oracle the tests compare it with.
+written, is the oracle the tests compare it with. It yields the
+admissible (T, N_Y(T)) as pairs of bit sets. interval_criterion reads
+the bare verdict off them, stopping at the first T that fails the
+cardinality condition, and builds no objects; is_gorenstein_convex
+builds its verdict, violation and certificates from the same pairs.
 
 The Hall lemma: when m = n and the side graph has no perfect matching,
 some admissible T has |N_Y(T)| < |T|, so the scan already rejects the
@@ -95,7 +99,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from operator import or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotConvex, NotStack
 from .polyomino import (
@@ -230,22 +234,15 @@ def _joined(a: int, b: int) -> int:
     return 0 if a and b and not a & b else a | b
 
 
-def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
-    """Interval-scan test for convex polyominoes.
+def _required(t: int) -> int:
+    """The cardinality condition: |N_Y(T)| must equal |T| + 1."""
+    return t.bit_count() + 1
 
-    Takes the admissible T in increasing bit order; the first with
-    |N_Y(T)| != |T| + 1 becomes the violation. The box gate comes first:
-    when m != n the whole larger side is a Hall violation. A square shape
-    without a perfect matching needs no test of its own: by the Hall
-    lemma some admissible T then has |N_Y(T)| < |T|. When the verdict is
-    positive every admissible T is returned as a certificate.
-    """
-    if not is_convex(p):
-        raise NotConvex("the convex Gorenstein test needs a convex polyomino")
-    gate = _box_verdict(p, "convex")
-    if gate is not None:
-        return gate
-    m, n = p.m, p.n
+
+def _admissible(p: Polyomino) -> Iterator[tuple[int, int]]:
+    """The interval scan: every admissible (T, N_Y(T)) of a convex shape
+    with m = n, as bit sets, in scan order."""
+    m = p.m
     # levels[x - 1] bit j - 1 and columns[j - 1] bit x - 1: (x, j) is a
     # vertex, a corner of some cell. On a convex shape the levels of
     # vertex column x are its span [b, t] and the columns of level j
@@ -276,7 +273,6 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
     # columns and Y \ I a prefix and a suffix of the levels
     pre_x, suf_x = _prefix_suffix_or(levels)
     pre_y, suf_y = _prefix_suffix_or(columns)
-    admissible = []
     for low, rest_low in out_low.items():
         lo = low.bit_length() - 1
         for top in tops[bisect_right(tops, low) :]:
@@ -293,15 +289,49 @@ def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
                 pre_y[lo], suf_y[top.bit_length() - 1]
             ):
                 continue
-            admissible.append((full_x ^ rest, ival))
-    admissible.sort()
+            yield full_x ^ rest, ival
+
+
+def interval_criterion(p: Polyomino) -> bool:
+    """The convex criterion's verdict alone: True exactly when K[P] is
+    Gorenstein.
+
+    The box gate (m = n), then the interval scan, stopping at the first
+    admissible T with |N_Y(T)| != |T| + 1. It builds no SideSubset,
+    Violation, Certificate or GorensteinVerdict; is_gorenstein_convex
+    builds those from the same scan.
+    """
+    if not is_convex(p):
+        raise NotConvex("the convex Gorenstein test needs a convex polyomino")
+    return p.m == p.n and all(i.bit_count() == _required(t) for t, i in _admissible(p))
+
+
+def is_gorenstein_convex(p: Polyomino) -> GorensteinVerdict:
+    """Interval-scan test for convex polyominoes, with its evidence.
+
+    The verdict of interval_criterion, built from the same scan: the box
+    gate comes first, and when m != n the whole larger side is a Hall
+    violation. A square shape without a perfect matching needs no test
+    of its own: by the Hall lemma some admissible T then has
+    |N_Y(T)| < |T|. Otherwise the admissible T are taken in increasing
+    bit order; the first with |N_Y(T)| != |T| + 1 becomes the violation.
+    When the verdict is positive every admissible T is returned as a
+    certificate.
+    """
+    if not is_convex(p):
+        raise NotConvex("the convex Gorenstein test needs a convex polyomino")
+    gate = _box_verdict(p, "convex")
+    if gate is not None:
+        return gate
+    m, n = p.m, p.n
     certs = []
-    for t, nbits in admissible:
+    for t, nbits in sorted(_admissible(p)):
         t_sub = SideSubset("X", t, m)
-        if nbits.bit_count() != t.bit_count() + 1:
+        need = _required(t)
+        if nbits.bit_count() != need:
             return GorensteinVerdict(
                 False,
-                Violation("cardinality", t_sub, nbits.bit_count(), t.bit_count() + 1),
+                Violation("cardinality", t_sub, nbits.bit_count(), need),
                 tuple(certs),
                 "convex",
             )

@@ -95,7 +95,7 @@ from .errors import (
     NotStack,
     TooLarge,
 )
-from .gorenstein import is_gorenstein_convex
+from .gorenstein import interval_criterion
 from .polyomino import (
     Polyomino,
     column_bounds,
@@ -435,8 +435,10 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
 
     Every shape, at any size, gets the Gorenstein verdict from the
     polynomial interval scan of the convex criterion (tagged "interval
-    criterion"). A supplied order must rank exactly the vertices of p
-    (BadParameters otherwise); a Ferrers shape does not use it.
+    criterion"), read as one bit off gorenstein.interval_criterion: no
+    violation or certificate is built. A supplied order must rank
+    exactly the vertices of p (BadParameters otherwise); a Ferrers shape
+    does not use it.
     """
     if not is_convex(p):
         raise NotConvex("full_report needs a convex polyomino")
@@ -480,7 +482,7 @@ def full_report(p: Polyomino, order: VarOrder | None = None) -> InvariantReport:
                 f"bounding-box bounds predict a={box_reg - d}, regularity={box_reg}; "
                 f"the recursion gives a={a}, regularity={reg} (reported)"
             )
-    gor = is_gorenstein_convex(p).gorenstein
+    gor = interval_criterion(p)
     if h is not None and (h == h[::-1]) != gor:
         raise ConsistencyError(
             f"h-vector {h} palindromicity contradicts the Gorenstein verdict {gor}"

@@ -10,7 +10,9 @@ highest cell on each cell column (column_bounds) and on each cell row
 (row_bounds), with whether every line is an interval. Each table comes
 from one pass over the cells and is kept on the polyomino, so the layers
 that each classify it, or read its column intervals, scan the cells
-once per axis.
+once per axis. The Ferrers test (ferrers), which the default variable
+order and full_report both ask of a shape, is kept the same way: its
+spans are sorted once per polyomino.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .errors import (
 
 Cell = tuple[int, int]
 Vertex = tuple[int, int]
+
+# the _ferrers slot before ferrers runs: None is one of its results
+_UNSEEN = object()
 
 
 def _edge_connected(cells: frozenset[Cell]) -> bool:
@@ -52,11 +57,12 @@ class Polyomino:
         vertices: frozenset of lattice corners of cells.
         m, n: vertex box sides, m = max col + 1, n = max row + 1.
 
-    The column and row bounds tables are computed on first use and kept
-    (slots _columns and _rows); see column_bounds.
+    The column and row bounds tables and the result of ferrers are
+    computed on first use and kept (slots _columns, _rows and _ferrers);
+    see column_bounds and ferrers.
     """
 
-    __slots__ = ("cells", "vertices", "m", "n", "_columns", "_rows")
+    __slots__ = ("cells", "vertices", "m", "n", "_columns", "_rows", "_ferrers")
 
     def __init__(self, cells: Iterable[Cell]):
         cs = {(int(c), int(r)) for c, r in cells}
@@ -81,6 +87,7 @@ class Polyomino:
         object.__setattr__(self, "vertices", frozenset(verts))
         object.__setattr__(self, "_columns", None)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_ferrers", _UNSEEN)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polyomino is immutable")
@@ -282,8 +289,16 @@ def ferrers(p: Polyomino) -> tuple[tuple[int, ...], tuple[Span, ...]] | None:
     fall. lam lists the sizes t - b in descending order without the
     first: the longest span is shared by two adjacent vertex columns,
     so the two largest sizes are equal, and lam is the profile of the
-    stack whose vertex columns have these sizes.
+    stack whose vertex columns have these sizes. Computed once per
+    polyomino.
     """
+    if p._ferrers is _UNSEEN:
+        object.__setattr__(p, "_ferrers", _ferrers_of(p))
+    return p._ferrers
+
+
+def _ferrers_of(p: Polyomino) -> tuple[tuple[int, ...], tuple[Span, ...]] | None:
+    """ferrers(p), computed afresh."""
     if not is_convex(p):
         return None
     spans = vertex_spans(*column_bounds(p)[:2])

@@ -1,17 +1,15 @@
 """The paper's bipartite graph of a convex polyomino, read through the
-oracles' neighbour sets: interval conditions, Hall's condition as the
-Gorenstein scan reports it, and directed cuts against the rook number."""
+oracles' neighbour sets: interval conditions and directed cuts against
+the rook number."""
 
 from itertools import combinations
 
-from polyrings.gorenstein import is_gorenstein_convex
 from polyrings.invariants import rook_number
 from polyrings.srcomplex import hilbert_numerator
 from oracles import (
     brute_deltas,
     brute_directed_cuts,
     brute_max_disjoint_cuts,
-    brute_perfect_matching,
     horizontal_interval,
     induced_connected,
     neigh_x,
@@ -62,36 +60,6 @@ def test_singleton_neighbor_sets_are_intervals():
         vs = vertex_set(p)
         assert all(vertical_interval(vs, p.cells, {i}) for i in range(1, p.m + 1))
         assert all(horizontal_interval(vs, p.cells, {j}) for j in range(1, p.n + 1))
-
-
-def test_fig9_perfect_matching():
-    p = fx("fig9")
-    vs = vertex_set(p)
-    v = is_gorenstein_convex(p)
-    assert v.violation is None or v.violation.kind != "hall"
-    witness = {(1, 1), (2, 2), (3, 4), (4, 3)}
-    assert witness <= vs
-    assert brute_perfect_matching(p)
-
-
-def test_unequal_sides_never_match():
-    p = fx("figb")
-    assert p.m != p.n
-    v = is_gorenstein_convex(p)
-    assert v.violation.kind == "hall"
-    assert (v.violation.subset.side, len(v.violation.subset)) == ("X", p.m)
-    assert not brute_perfect_matching(p)
-
-
-def test_hall_violator_is_violating():
-    for p in [fx(name) for name in ("fig8", "ex3", "fig12_b")] + list(convex_upto(8)):
-        v = is_gorenstein_convex(p)
-        if v.violation is None or v.violation.kind != "hall":
-            continue
-        vs = vertex_set(p)
-        t = set(v.violation.subset.indices())
-        nbors = neigh_y(vs, t) if v.violation.subset.side == "X" else neigh_x(vs, t)
-        assert v.violation.observed == len(nbors) < len(t) == v.violation.required
 
 
 def test_fig13_cut_examples():

@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 
 from polyrings.errors import NotConvex, NotStack
 from polyrings.gorenstein import (
+    interval_criterion,
     is_gorenstein_convex,
     is_gorenstein_stack_corners,
     is_gorenstein_stack_subsets,
 )
+from polyrings.invariants import full_report
 from polyrings.polyomino import Polyomino, mirror, transpose
 from polyrings.srcomplex import hilbert_numerator
 from oracles import (
@@ -21,6 +25,9 @@ from oracles import (
     vertical_interval,
 )
 from pool import CONVEX_FIXTURES, complex_of, convex_upto, fx, stacks_upto
+
+
+FIXTURE_VERDICTS_SHA256 = "20fe550e950b53f3f6e9d8af5ee67415f8677beeb4972e42b4b2925859b07393"
 
 
 def square(k):
@@ -116,8 +123,23 @@ def test_violation_present_iff_not_gorenstein():
 
 
 def test_against_definition_level_oracle():
-    for p in list(convex_upto(7)) + [fx(n) for n in CONVEX_FIXTURES]:
-        assert is_gorenstein_convex(p).gorenstein == brute_gorenstein_convex(p)
+    # the report's bit, the bare scan, the verdict object and the 2^m
+    # sweep of the oracle agree on every convex shape with at most 9 cells
+    shapes = convex_upto(9)
+    assert len(shapes) == 5769
+    for p in list(shapes) + [fx(n) for n in CONVEX_FIXTURES]:
+        bit = interval_criterion(p)
+        assert full_report(p).gorenstein == bit, sorted(p.cells)
+        assert is_gorenstein_convex(p).gorenstein == bit, sorted(p.cells)
+        assert brute_gorenstein_convex(p) == bit, sorted(p.cells)
+
+
+def test_fixture_verdicts_are_pinned():
+    # the verdict objects are built from the same scan as the bare bit:
+    # their reprs, one line per fixture in CONVEX_FIXTURES order, hash
+    # to a fixed digest, so no field, certificate or order drifts
+    reprs = "\n".join(repr(is_gorenstein_convex(fx(n))) for n in CONVEX_FIXTURES)
+    assert hashlib.sha256(reprs.encode()).hexdigest() == FIXTURE_VERDICTS_SHA256, reprs
 
 
 def test_interval_scan_against_the_literal_sweep():
@@ -234,3 +256,33 @@ def test_wide_staircase_band_verdict():
     assert v.violation.kind == "cardinality"
     assert str(v.violation.subset) == "{x1501}"
     assert (v.violation.observed, v.violation.required) == (3, 2)
+
+
+def test_fig9_perfect_matching():
+    p = fx("fig9")
+    vs = vertex_set(p)
+    v = is_gorenstein_convex(p)
+    assert v.violation is None or v.violation.kind != "hall"
+    witness = {(1, 1), (2, 2), (3, 4), (4, 3)}
+    assert witness <= vs
+    assert brute_perfect_matching(p)
+
+
+def test_unequal_sides_never_match():
+    p = fx("figb")
+    assert p.m != p.n
+    v = is_gorenstein_convex(p)
+    assert v.violation.kind == "hall"
+    assert (v.violation.subset.side, len(v.violation.subset)) == ("X", p.m)
+    assert not brute_perfect_matching(p)
+
+
+def test_hall_violator_is_violating():
+    for p in [fx(name) for name in ("fig8", "ex3", "fig12_b")] + list(convex_upto(8)):
+        v = is_gorenstein_convex(p)
+        if v.violation is None or v.violation.kind != "hall":
+            continue
+        vs = vertex_set(p)
+        t = set(v.violation.subset.indices())
+        nbors = neigh_y(vs, t) if v.violation.subset.side == "X" else neigh_x(vs, t)
+        assert v.violation.observed == len(nbors) < len(t) == v.violation.required

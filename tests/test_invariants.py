@@ -13,7 +13,7 @@ from polyrings.errors import (
     NotPure,
     NotStack,
 )
-from polyrings.gorenstein import GorensteinVerdict, is_gorenstein_convex
+from polyrings.gorenstein import interval_criterion, is_gorenstein_convex
 from polyrings.invariants import (
     a_invariant_stack_exact,
     decompose,
@@ -554,9 +554,7 @@ def test_full_report_certificates_can_fail(monkeypatch):
         (r, variable_order(r), True),
     ):
         with monkeypatch.context() as mp:
-            mp.setattr(invariants, "is_gorenstein_convex", lambda _: GorensteinVerdict(
-                forced, None, (), "forced"
-            ))
+            mp.setattr(invariants, "interval_criterion", lambda _: forced)
             with pytest.raises(ConsistencyError, match="palindromicity"):
                 full_report(shape, order)
 
@@ -640,7 +638,7 @@ def test_full_report_scans_convexity_once(monkeypatch):
         axes.clear()
         for read in (
             full_report, variable_order, rook_number, heights, ferrers,
-            is_nw_parallelogram, is_gorenstein_convex, is_stack,
+            is_nw_parallelogram, is_gorenstein_convex, interval_criterion, is_stack,
         ):
             read(p)
         assert sorted(axes) == ["column", "row"], sorted(p.cells)
@@ -655,6 +653,24 @@ def test_full_report_scans_convexity_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(NotConvex):
             full_report(bent)
+
+
+def test_full_report_computes_ferrers_once(monkeypatch):
+    # the default order and full_report share the kept Ferrers result,
+    # a None (fig6) as well as a shape (fig14's transpose)
+    compute, calls = polyomino._ferrers_of, []
+
+    def counted(p):
+        calls.append(p)
+        return compute(p)
+
+    monkeypatch.setattr(polyomino, "_ferrers_of", counted)
+    for p, nested in ((Polyomino(fx("fig6").cells), False), (transpose(fx("fig14")), True)):
+        calls.clear()
+        assert not is_stack(p)
+        full_report(p, variable_order(p))
+        assert (ferrers(p) is not None) == nested
+        assert calls == [p], sorted(p.cells)
 
 
 def test_report_dict_shape():
